@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <optional>
 #include <vector>
@@ -140,21 +139,14 @@ int main() {
     str_spec = str_spec.Scaled(scale);
   }
   str_spec.build = TreeBuildMethod::kStr;
-  const char* cache = std::getenv("PSJ_BENCH_CACHE_DIR");
-  auto str_workload = PaperWorkload::LoadOrBuildCached(
-      str_spec, cache != nullptr ? cache : "/tmp");
-  if (!str_workload.ok()) {
-    std::printf("STR workload failed: %s\n",
-                str_workload.status().ToString().c_str());
-    return 1;
-  }
+  const PaperWorkload str_workload(str_spec);
   std::printf("STR bulk-loaded trees:\n%s\n",
-              (*str_workload)->DescribeTrees().c_str());
+              str_workload.DescribeTrees().c_str());
 
   std::printf("%-12s %12s %14s %12s %12s\n", "build", "resp (s)",
               "disk accesses", "candidates", "tasks");
   RunJoin("insertion", insertion);
-  RunJoin("str", **str_workload);
+  RunJoin("str", str_workload);
 
   ReportEntryStorageAblation(
       static_cast<size_t>(20000 * bench::BenchScale()));

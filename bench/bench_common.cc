@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "report/figure_registry.h"
@@ -22,22 +21,18 @@ double BenchScale() {
 
 const PaperWorkload& GetWorkload() {
   static const PaperWorkload* workload = [] {
-    const char* cache_env = std::getenv("PSJ_BENCH_CACHE_DIR");
-    const std::string cache_dir = cache_env != nullptr ? cache_env : "/tmp";
     PaperWorkloadSpec spec;
     const double scale = BenchScale();
     if (scale != 1.0) {
       spec = spec.Scaled(scale);
     }
     std::fprintf(stderr,
-                 "[bench] preparing workload (scale %.2f, %d + %d objects, "
-                 "cache %s)...\n",
-                 scale, spec.streets.num_objects, spec.mixed.num_objects,
-                 cache_dir.c_str());
-    auto result = PaperWorkload::LoadOrBuildCached(spec, cache_dir);
-    PSJ_CHECK(result.ok()) << result.status().ToString();
+                 "[bench] preparing workload (scale %.2f, %d + %d objects)"
+                 "...\n",
+                 scale, spec.streets.num_objects, spec.mixed.num_objects);
+    const PaperWorkload* built = new PaperWorkload(spec);
     std::fprintf(stderr, "[bench] workload ready.\n");
-    return result.value().release();
+    return built;
   }();
   return *workload;
 }

@@ -18,9 +18,7 @@ using JsonWriter = ::psj::JsonWriter;
 /// PSJ_BENCH_SCALE=0.1 for a quick smoke run of every harness.
 double BenchScale();
 
-/// The shared experiment input at BenchScale(), built on first use and
-/// cached on disk under PSJ_BENCH_CACHE_DIR (default: /tmp) so repeated
-/// bench binaries skip the R*-tree construction.
+/// The shared experiment input at BenchScale(), built on first use.
 const PaperWorkload& GetWorkload();
 
 /// Runs `configs` over GetWorkload() concurrently on the parallel

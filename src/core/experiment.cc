@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "join/node_match.h"
-#include "storage/page_file.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace_sink.h"
 #include "util/string_util.h"
@@ -40,46 +39,6 @@ PaperWorkload::PaperWorkload(const PaperWorkloadSpec& spec)
       store_s_(GenerateMixedMap(MakeGeography(spec), spec.mixed)),
       tree_r_(BuildTreeFromObjects(1, store_r_.objects(), spec.build)),
       tree_s_(BuildTreeFromObjects(2, store_s_.objects(), spec.build)) {}
-
-StatusOr<std::unique_ptr<PaperWorkload>> PaperWorkload::LoadOrBuildCached(
-    const PaperWorkloadSpec& spec, const std::string& cache_dir) {
-  const std::string prefix = StringPrintf(
-      "%s/psj_wl_%llu_%d_%d_%d", cache_dir.c_str(),
-      static_cast<unsigned long long>(spec.geography_seed),
-      spec.streets.num_objects, spec.mixed.num_objects,
-      static_cast<int>(spec.build));
-  const std::string store_r_path = prefix + "_store_r.bin";
-  const std::string store_s_path = prefix + "_store_s.bin";
-  const std::string tree_r_path = prefix + "_tree_r.pf";
-  const std::string tree_s_path = prefix + "_tree_s.pf";
-
-  auto store_r = ObjectStore::LoadFromFile(store_r_path);
-  auto store_s = ObjectStore::LoadFromFile(store_s_path);
-  auto file_r = PageFile::LoadFromFile(tree_r_path);
-  auto file_s = PageFile::LoadFromFile(tree_s_path);
-  if (store_r.ok() && store_s.ok() && file_r.ok() && file_s.ok()) {
-    auto tree_r = RStarTree::LoadFromPageFile(*file_r);
-    auto tree_s = RStarTree::LoadFromPageFile(*file_s);
-    if (tree_r.ok() && tree_s.ok()) {
-      return std::unique_ptr<PaperWorkload>(new PaperWorkload(
-          std::move(store_r).value(), std::move(store_s).value(),
-          std::move(tree_r).value(), std::move(tree_s).value()));
-    }
-  }
-
-  auto workload = std::unique_ptr<PaperWorkload>(new PaperWorkload(spec));
-  // Best-effort cache write; failures only cost rebuild time later.
-  PageFile out_r(workload->tree_r_.tree_id());
-  PageFile out_s(workload->tree_s_.tree_id());
-  if (workload->store_r_.SaveToFile(store_r_path).ok() &&
-      workload->store_s_.SaveToFile(store_s_path).ok() &&
-      workload->tree_r_.PackToPageFile(&out_r).ok() &&
-      workload->tree_s_.PackToPageFile(&out_s).ok()) {
-    (void)out_r.SaveToFile(tree_r_path);
-    (void)out_s.SaveToFile(tree_s_path);
-  }
-  return workload;
-}
 
 int64_t PaperWorkload::CountRootTaskPairs() const {
   const RTreeNode& root_r = tree_r_.node(tree_r_.root_page());

@@ -24,6 +24,14 @@ alignas(16) constexpr uint32_t kCompressU32[16][4] = {
     {2, 3, 0, 0}, {0, 2, 3, 0}, {1, 2, 3, 0}, {0, 1, 2, 3},
 };
 
+// The sentinel lanes past a view's size (xl = yl = +inf, xu = yu = -inf)
+// fail every predicate except against the whole-plane query
+// (-inf, -inf, +inf, +inf), where the wide kernels would emit them. Hits
+// are ascending, so they can only sit at the end.
+void TrimSentinelHits(size_t size, std::vector<uint32_t>* out_ids) {
+  while (!out_ids->empty() && out_ids->back() >= size) out_ids->pop_back();
+}
+
 #endif  // PSJ_NODE_SCAN_X86
 
 using ScanFn = void (*)(const RectSoAView&, const Rect&,
@@ -86,8 +94,8 @@ __attribute__((target("sse2"))) void ScanIntersectingSse2(
   const __m128d qyl = _mm_set1_pd(query.yl);
   const __m128d qxu = _mm_set1_pd(query.xu);
   const __m128d qyu = _mm_set1_pd(query.yu);
-  // Sentinel lanes past size fail every predicate, so full 2-lane reads
-  // from any base < size stay correct.
+  // Full 2-lane reads from any base < size stay in bounds; a sentinel lane
+  // past size can only match the whole-plane query, trimmed below.
   for (size_t base = 0; base < node.size; base += 2) {
     const __m128d x_ok =
         _mm_and_pd(_mm_cmple_pd(_mm_loadu_pd(node.xl + base), qxu),
@@ -102,6 +110,7 @@ __attribute__((target("sse2"))) void ScanIntersectingSse2(
           static_cast<uint32_t>(base + std::countr_zero(bits)));
     }
   }
+  TrimSentinelHits(node.size, out_ids);
 }
 
 __attribute__((target("avx2"))) void ScanIntersectingAvx2(
@@ -132,6 +141,7 @@ __attribute__((target("avx2"))) void ScanIntersectingAvx2(
     count += static_cast<size_t>(std::popcount(m));
   }
   out_ids->resize(count);
+  TrimSentinelHits(n, out_ids);
 }
 
 #else  // !PSJ_NODE_SCAN_X86

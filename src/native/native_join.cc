@@ -107,6 +107,7 @@ class NativeJoiner {
     std::vector<std::pair<uint64_t, uint64_t>> candidates;
     NodeMatchScratch scratch;
     NativeWorkerStats stats;
+    int64_t busy_ns = 0;  // Converted into stats.busy_us once, at drain.
     std::vector<NodePair> children;  // Reused per directory pair.
   };
 
@@ -124,12 +125,14 @@ class NativeJoiner {
           // disabled path above stays clock-free.
           const Clock::time_point task_start = Clock::now();
           ExecutePair(id, w, *item);
-          const int64_t task_us =
-              std::chrono::duration_cast<std::chrono::microseconds>(
+          const int64_t task_ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
                   Clock::now() - task_start)
                   .count();
-          w.stats.busy_us += task_us;
-          metrics->Record(id, metric_task_duration_, task_us);
+          // A task takes about a microsecond: summing whole microseconds
+          // would drop half the busy time, so busy time sums nanoseconds.
+          w.busy_ns += task_ns;
+          metrics->Record(id, metric_task_duration_, task_ns / 1000);
           metrics->Add(id, metric_tasks_, 1);
         }
         pool_.FinishItem();
@@ -138,6 +141,7 @@ class NativeJoiner {
       if (pool_.Done()) {
         if (metrics != nullptr) {
           // Totals that only exist at drain time; one flush per worker.
+          w.stats.busy_us = w.busy_ns / 1000;
           metrics->Add(id, metric_node_pairs_,
                        w.stats.node_pairs_processed);
           metrics->Add(id, metric_steals_, w.stats.steals);

@@ -65,11 +65,12 @@ struct NativeWorkerStats {
   int64_t steals = 0;               // Successful StealHalf transfers.
   int64_t steal_attempts = 0;
   int64_t candidates = 0;           // Leaf-level pairs this worker emitted.
-  /// Wall time spent inside task execution, microseconds. Only measured
-  /// when NativeJoinConfig::metrics is set (per-task timing costs two
-  /// clock reads); 0 otherwise. busy_us / wall_ms is the worker's
-  /// utilization — the imbalance figure the paper's speedup analysis
-  /// turns on.
+  /// Wall time spent inside task execution, microseconds, summed per task
+  /// in nanoseconds and converted once (a task takes about a
+  /// microsecond). Only measured when NativeJoinConfig::metrics is set
+  /// (per-task timing costs two clock reads); 0 otherwise. busy_us /
+  /// wall_ms is the worker's utilization — the imbalance figure the
+  /// paper's speedup analysis turns on.
   int64_t busy_us = 0;
 };
 

@@ -39,7 +39,129 @@ struct TreeMeta {
 
 constexpr uint64_t kTreeMagic = 0x505351525452454aULL;  // "PSQRTREJ"
 
+// Per-thread buffers of ChooseLeastOverlapEnlargement (insertion runs on
+// one thread per tree, but several trees may be built concurrently).
+struct ChooseScratch {
+  std::vector<double> area;
+  std::vector<double> area_delta;
+  std::vector<double> overlap_delta;
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> hits;
+  RectBatch batch;
+};
+
+// Overlap enlargement of entries[c] when grown to include `rect`: the two
+// sums of the direct definition in the same ascending sibling order, over
+// only the siblings the node scan finds touching the enlarged rect. Every
+// other sibling lies strictly outside both the enlarged and the original
+// candidate, so both of its IntersectionArea terms are exactly +0.0, and
+// adding +0.0 leaves a non-negative sum bit-identical.
+double OverlapEnlargement(std::span<const RTreeEntry> entries,
+                          const RectSoAView& node, size_t c, const Rect& rect,
+                          std::vector<uint32_t>* hits) {
+  const Rect& candidate = entries[c].rect;
+  const Rect enlarged = candidate.UnionWith(rect);
+  ScanIntersecting(node, enlarged, hits);
+  double before = 0.0;
+  double after = 0.0;
+  for (const uint32_t j : *hits) {
+    if (j == c) continue;
+    before += candidate.IntersectionArea(entries[j].rect);
+    after += enlarged.IntersectionArea(entries[j].rect);
+  }
+  return after - before;
+}
+
 }  // namespace
+
+size_t ChooseLeastOverlapEnlargement(std::span<const RTreeEntry> entries,
+                                     const Rect& rect) {
+  PSJ_CHECK(!entries.empty());
+  thread_local ChooseScratch s;
+  const size_t n = entries.size();
+  s.area.resize(n);
+  s.area_delta.resize(n);
+  s.overlap_delta.resize(n);
+  // The ordered search below needs every key finite. A finite sum of the
+  // areas bounds every overlap sum (each term is at most its sibling's
+  // area), so it also rules out overflowing overlap sums.
+  double area_sum = 0.0;
+  bool finite = true;
+  for (size_t i = 0; i < n; ++i) {
+    s.area[i] = entries[i].rect.Area();
+    s.area_delta[i] = entries[i].rect.Enlargement(rect);
+    area_sum += s.area[i];
+    finite = finite && std::isfinite(s.area_delta[i]);
+  }
+  finite = finite && std::isfinite(area_sum);
+  s.batch.AssignProjected(entries, [](const RTreeEntry& e) -> const Rect& {
+    return e.rect;
+  });
+  const RectSoAView node = s.batch.view();
+
+  if (finite) {
+    // Overlap enlargements are never negative (every operation in the two
+    // sums is monotone under round-to-nearest), so the first exact zero in
+    // (area enlargement, area, index) order wins the lexicographic fold
+    // below outright. A candidate containing `rect` is not enlarged at
+    // all: both sums are the same finite value, the difference exactly 0.
+    const auto key_less = [&](uint32_t a, uint32_t b) {
+      if (s.area_delta[a] != s.area_delta[b]) {
+        return s.area_delta[a] < s.area_delta[b];
+      }
+      if (s.area[a] != s.area[b]) return s.area[a] < s.area[b];
+      return a < b;
+    };
+    const auto overlap_zero = [&](uint32_t c) {
+      if (entries[c].rect.Contains(rect)) return true;
+      s.overlap_delta[c] = OverlapEnlargement(entries, node, c, rect, &s.hits);
+      return s.overlap_delta[c] == 0.0;
+    };
+    // On the paper maps four calls in five end at the first candidate of
+    // that order: find it in one pass and sort the rest only on a miss.
+    uint32_t first = 0;
+    for (uint32_t i = 1; i < n; ++i) {
+      if (key_less(i, first)) first = i;
+    }
+    if (overlap_zero(first)) return first;
+    s.order.clear();
+    for (uint32_t i = 0; i < n; ++i) {
+      if (i != first) s.order.push_back(i);
+    }
+    std::sort(s.order.begin(), s.order.end(), key_less);
+    for (const uint32_t c : s.order) {
+      if (overlap_zero(c)) return c;
+    }
+  } else {
+    // Non-finite keys (areas overflow beyond about 1e154) break that
+    // order, and the direct definition's fold never selects a NaN key:
+    // evaluate every candidate and fold exactly as it does.
+    for (size_t c = 0; c < n; ++c) {
+      s.overlap_delta[c] = OverlapEnlargement(entries, node, c, rect, &s.hits);
+    }
+  }
+
+  // No exact zero: the direct definition's fold over every candidate.
+  size_t best = 0;
+  double best_overlap_delta = std::numeric_limits<double>::infinity();
+  double best_area_delta = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < n; ++i) {
+    const double overlap_delta = s.overlap_delta[i];
+    const double area_delta = s.area_delta[i];
+    const double area = s.area[i];
+    if (overlap_delta < best_overlap_delta ||
+        (overlap_delta == best_overlap_delta &&
+         (area_delta < best_area_delta ||
+          (area_delta == best_area_delta && area < best_area)))) {
+      best = i;
+      best_overlap_delta = overlap_delta;
+      best_area_delta = area_delta;
+      best_area = area;
+    }
+  }
+  return best;
+}
 
 RStarTree::RStarTree(uint32_t tree_id, RTreeOptions options)
     : tree_id_(tree_id), options_(options) {
@@ -171,34 +293,9 @@ std::vector<uint32_t> RStarTree::ChoosePath(const Rect& rect,
     size_t best = 0;
     if (n.level == 1 &&
         options_.choose_subtree == ChooseSubtreePolicy::kRStar) {
-      // Children are leaves: minimize overlap enlargement (R* CS2), ties by
-      // area enlargement, then by area.
-      double best_overlap_delta = std::numeric_limits<double>::infinity();
-      double best_area_delta = std::numeric_limits<double>::infinity();
-      double best_area = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < n.entries.size(); ++i) {
-        const Rect& candidate = n.entries[i].rect;
-        const Rect enlarged = candidate.UnionWith(rect);
-        double overlap_before = 0.0;
-        double overlap_after = 0.0;
-        for (size_t j = 0; j < n.entries.size(); ++j) {
-          if (j == i) continue;
-          overlap_before += candidate.IntersectionArea(n.entries[j].rect);
-          overlap_after += enlarged.IntersectionArea(n.entries[j].rect);
-        }
-        const double overlap_delta = overlap_after - overlap_before;
-        const double area_delta = candidate.Enlargement(rect);
-        const double area = candidate.Area();
-        if (overlap_delta < best_overlap_delta ||
-            (overlap_delta == best_overlap_delta &&
-             (area_delta < best_area_delta ||
-              (area_delta == best_area_delta && area < best_area)))) {
-          best = i;
-          best_overlap_delta = overlap_delta;
-          best_area_delta = area_delta;
-          best_area = area;
-        }
-      }
+      best = ChooseLeastOverlapEnlargement(
+          std::span<const RTreeEntry>(n.entries.begin(), n.entries.size()),
+          rect);
     } else {
       // Children are directory nodes: minimize area enlargement, ties by
       // area.
@@ -552,8 +649,8 @@ RTreeEntry RStarTree::SplitNodeRStar(uint32_t page_no) {
                       axis == 0 ? (by_upper ? b.rect.xu : b.rect.xl)
                                 : (by_upper ? b.rect.yu : b.rect.yl);
                   if (ka != kb) return ka < kb;
-                  // Secondary key: the other coordinate, then id, for
-                  // determinism.
+                  // Secondary key: the entry id alone, for determinism.
+                  // Changing it would change the tree's pages.
                   return a.id < b.id;
                 });
       // Prefix and suffix MBRs of the sorted sequence.

@@ -2,6 +2,7 @@
 #define PSJ_RTREE_RSTAR_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geo/rect.h"
@@ -61,6 +62,21 @@ struct RTreeShapeStats {
   double avg_dir_fill = 0.0;
   Rect root_mbr = Rect::Empty();
 };
+
+/// \brief R* ChooseSubtree rule CS2 for a node whose children are leaves:
+/// the index of the entry whose rect needs the least overlap enlargement to
+/// include `rect`, ties by least area enlargement, then least area, then
+/// lowest index. `entries` must be non-empty.
+///
+/// Returns exactly the index of the direct definition — for every
+/// candidate, sum the intersection areas with all n-1 siblings before and
+/// after enlarging, in ascending sibling order, then fold over the
+/// candidates in index order — while skipping siblings the node scan finds
+/// disjoint and stopping at the first exact-zero overlap enlargement in
+/// (area enlargement, area, index) order. DESIGN.md §12 ("Exact
+/// ChooseSubtree") gives the bit-identity argument.
+size_t ChooseLeastOverlapEnlargement(std::span<const RTreeEntry> entries,
+                                     const Rect& rect);
 
 /// \brief A complete R*-tree [BKSS 90]: the spatial access method
 /// underlying both the sequential [BKS 93] join and the paper's parallel

@@ -56,37 +56,5 @@ TEST(PaperWorkloadTest, RunJoinProducesResults) {
   EXPECT_GT(result->stats.response_time, 0);
 }
 
-TEST(PaperWorkloadTest, CacheRoundTripGivesIdenticalExperiments) {
-  const std::string cache_dir = ::testing::TempDir();
-  const PaperWorkloadSpec spec = TinySpec();
-
-  auto first = PaperWorkload::LoadOrBuildCached(spec, cache_dir);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = PaperWorkload::LoadOrBuildCached(spec, cache_dir);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-
-  // The cached copy must reproduce the tree structure and join results
-  // exactly.
-  EXPECT_EQ((*first)->tree_r().num_pages(), (*second)->tree_r().num_pages());
-  EXPECT_EQ((*first)->tree_r().root_page(), (*second)->tree_r().root_page());
-  EXPECT_EQ((*first)->CountRootTaskPairs(),
-            (*second)->CountRootTaskPairs());
-  EXPECT_TRUE(ValidateRTree((*second)->tree_r()).ok());
-  EXPECT_TRUE(ValidateRTree((*second)->tree_s()).ok());
-
-  ParallelJoinConfig config = ParallelJoinConfig::Gd();
-  config.num_processors = 3;
-  config.num_disks = 3;
-  config.total_buffer_pages = 120;
-  auto result_a = (*first)->RunJoin(config);
-  auto result_b = (*second)->RunJoin(config);
-  ASSERT_TRUE(result_a.ok());
-  ASSERT_TRUE(result_b.ok());
-  EXPECT_EQ(result_a->stats.response_time, result_b->stats.response_time);
-  EXPECT_EQ(result_a->stats.total_candidates,
-            result_b->stats.total_candidates);
-  EXPECT_EQ(result_a->stats.total_answers, result_b->stats.total_answers);
-}
-
 }  // namespace
 }  // namespace psj

@@ -7,14 +7,17 @@
 // `native` job runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "core/experiment.h"
 #include "data/generator.h"
 #include "data/map_builder.h"
 #include "join/sequential_join.h"
 #include "native/native_join.h"
 #include "native/partition_join.h"
+#include "obs/metrics.h"
 
 namespace psj {
 namespace {
@@ -244,6 +247,30 @@ TEST(NativeJoinTest, CountersAreConsistent) {
   EXPECT_EQ(candidates, static_cast<int64_t>(result.candidates.size()));
   EXPECT_EQ(result.per_worker.size(), 4u);
   EXPECT_GE(result.wall_ms, 0.0);
+}
+
+TEST(NativeJoinTest, BusyTimeCountsSubMicrosecondTasks) {
+  // Tasks on the paper maps take about a microsecond each; summing them
+  // truncated to whole microseconds reported about half the wall time of
+  // a 1-thread join that does little besides running tasks. The median
+  // of five runs keeps one preempted run from deciding the outcome.
+  const PaperWorkload workload(PaperWorkloadSpec().Scaled(0.05));
+  std::vector<double> busy_fractions;
+  for (int run = 0; run < 5; ++run) {
+    NativeJoinConfig config;
+    config.num_threads = 1;
+    obs::MetricsRegistry registry(config.num_threads);
+    config.metrics = &registry;
+    const NativeJoinResult result =
+        NativeRTreeJoin(workload.tree_r(), workload.tree_s(), config);
+    int64_t busy_us = 0;
+    for (const auto& w : result.per_worker) busy_us += w.busy_us;
+    busy_fractions.push_back(static_cast<double>(busy_us) /
+                             (result.wall_ms * 1000.0));
+  }
+  std::sort(busy_fractions.begin(), busy_fractions.end());
+  EXPECT_GE(busy_fractions[2], 0.65);
+  EXPECT_LE(busy_fractions[2], 1.0);
 }
 
 TEST(NativeJoinTest, PairSetsEqualCollapsesDuplicatesAndOrder) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -81,6 +82,9 @@ TEST(NodeScanTest, VariantsMatchScalarReferenceOnFuzzedNodes) {
       // ones, since coordinates share the same snapped grid) plus one
       // guaranteed-touching query when the node is non-empty.
       std::vector<Rect> queries = FuzzRects(rng, 8, 0.5);
+      // The whole plane is the one query the padding sentinels satisfy.
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      queries.emplace_back(-kInf, -kInf, kInf, kInf);
       if (!rects.empty()) {
         const Rect& r0 = rects[0];
         queries.emplace_back(r0.xu, r0.yu, r0.xu + 0.1, r0.yu + 0.1);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "core/experiment.h"
 #include "rtree/rstar_tree.h"
 #include "rtree/validator.h"
 #include "storage/page_file.h"
@@ -26,6 +30,38 @@ Rect RandomRect(Rng& rng, double extent = 0.05) {
   const double y = rng.NextDoubleInRange(0.0, 1.0);
   return Rect(x, y, x + rng.NextDoubleInRange(0.0, extent),
               y + rng.NextDoubleInRange(0.0, extent));
+}
+
+// 64-bit FNV-1a over the root page, the height and every page's level,
+// entry rect bits and ids: equal fingerprints mean page-identical trees.
+uint64_t TreeFingerprint(const RStarTree& tree) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto add = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  add(tree.root_page());
+  add(static_cast<uint64_t>(tree.height()));
+  add(tree.num_pages());
+  for (uint32_t p = 1; p < tree.num_pages(); ++p) {
+    if (tree.IsFreePage(p)) {
+      add(~uint64_t{0});
+      continue;
+    }
+    const RTreeNode& n = tree.node(p);
+    add(static_cast<uint64_t>(n.level));
+    add(n.entries.size());
+    for (const RTreeEntry& e : n.entries) {
+      add(std::bit_cast<uint64_t>(e.rect.xl));
+      add(std::bit_cast<uint64_t>(e.rect.yl));
+      add(std::bit_cast<uint64_t>(e.rect.xu));
+      add(std::bit_cast<uint64_t>(e.rect.yu));
+      add(e.id);
+    }
+  }
+  return hash;
 }
 
 TEST(RStarTreeTest, EmptyTreeIsValid) {
@@ -204,6 +240,8 @@ TEST(RStarTreeTest, PageFileRoundTrip) {
   EXPECT_EQ(loaded->num_data_entries(), tree.num_data_entries());
   EXPECT_EQ(loaded->height(), tree.height());
   EXPECT_EQ(loaded->root_page(), tree.root_page());
+  // Page for page the same tree, free pages included.
+  EXPECT_EQ(TreeFingerprint(*loaded), TreeFingerprint(tree));
   // Same query answers.
   for (int q = 0; q < 20; ++q) {
     const Rect window = RandomRect(rng, 0.3);
@@ -371,6 +409,216 @@ TEST_P(RStarTreeValiditySweep, RandomWorkloadStaysValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RStarTreeValiditySweep,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
+
+// ---- The exact leaf-parent chooser against the direct definition ----
+
+// R* CS2 exactly as insertion computed it before the exact chooser: for
+// each candidate, both overlap sums over all n-1 siblings in ascending
+// order, then a fold over the candidates in index order. Kept here only as
+// the reference ChooseLeastOverlapEnlargement must reproduce.
+size_t ReferenceChooseLeastOverlap(const std::vector<RTreeEntry>& entries,
+                                   const Rect& rect) {
+  size_t best = 0;
+  double best_overlap_delta = std::numeric_limits<double>::infinity();
+  double best_area_delta = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const Rect& candidate = entries[i].rect;
+    const Rect enlarged = candidate.UnionWith(rect);
+    double overlap_before = 0.0;
+    double overlap_after = 0.0;
+    for (size_t j = 0; j < entries.size(); ++j) {
+      if (j == i) continue;
+      overlap_before += candidate.IntersectionArea(entries[j].rect);
+      overlap_after += enlarged.IntersectionArea(entries[j].rect);
+    }
+    const double overlap_delta = overlap_after - overlap_before;
+    const double area_delta = candidate.Enlargement(rect);
+    const double area = candidate.Area();
+    if (overlap_delta < best_overlap_delta ||
+        (overlap_delta == best_overlap_delta &&
+         (area_delta < best_area_delta ||
+          (area_delta == best_area_delta && area < best_area)))) {
+      best = i;
+      best_overlap_delta = overlap_delta;
+      best_area_delta = area_delta;
+      best_area = area;
+    }
+  }
+  return best;
+}
+
+std::vector<RTreeEntry> EntriesOf(const std::vector<Rect>& rects) {
+  std::vector<RTreeEntry> entries;
+  for (size_t i = 0; i < rects.size(); ++i) {
+    entries.push_back(RTreeEntry{rects[i], 100 + i});
+  }
+  return entries;
+}
+
+void ExpectSameChoice(const std::vector<Rect>& rects, const Rect& rect) {
+  const std::vector<RTreeEntry> entries = EntriesOf(rects);
+  ASSERT_EQ(ChooseLeastOverlapEnlargement(entries, rect),
+            ReferenceChooseLeastOverlap(entries, rect))
+      << "n=" << rects.size() << " rect=" << rect;
+}
+
+// Adversarial leaf-parent nodes: half the coordinates snapped to a coarse
+// grid (shared edges, duplicate keys), zero-area segments and points,
+// exact duplicates and nested rects; all scaled by `scale` and shifted by
+// `offset`.
+std::vector<Rect> AdversarialNode(Rng& rng, size_t n, double scale,
+                                  double offset) {
+  const auto coord = [&] {
+    const double v = rng.NextDoubleInRange(0.0, 1.0);
+    return rng.NextBool(0.5) ? std::round(v * 8.0) / 8.0 : v;
+  };
+  std::vector<Rect> rects;
+  for (size_t i = 0; i < n; ++i) {
+    if (!rects.empty() && rng.NextBool(0.1)) {
+      rects.push_back(rects[rng.NextBelow(rects.size())]);  // Duplicate.
+      continue;
+    }
+    if (!rects.empty() && rng.NextBool(0.1)) {
+      const Rect& outer = rects[rng.NextBelow(rects.size())];  // Nested.
+      const double fx = rng.NextDoubleInRange(0.0, 0.5);
+      const double fy = rng.NextDoubleInRange(0.0, 0.5);
+      rects.emplace_back(outer.xl + fx * outer.Width(),
+                         outer.yl + fy * outer.Height(),
+                         outer.xu - fx * outer.Width(),
+                         outer.yu - fy * outer.Height());
+      continue;
+    }
+    const double x = coord();
+    const double y = coord();
+    const double extent = rng.NextBool(0.3) ? 0.5 : 0.15;
+    double w = rng.NextDoubleInRange(0.0, extent);
+    double h = rng.NextDoubleInRange(0.0, extent);
+    const double shape = rng.NextDoubleInRange(0.0, 1.0);
+    if (shape < 0.1) w = 0.0;                  // Vertical segment.
+    if (shape > 0.9) h = 0.0;                  // Horizontal segment.
+    if (shape > 0.45 && shape < 0.5) w = h = 0.0;  // Point.
+    rects.emplace_back(offset + scale * x, offset + scale * y,
+                       offset + scale * (x + w), offset + scale * (y + h));
+  }
+  return rects;
+}
+
+Rect AdversarialInsert(Rng& rng, const std::vector<Rect>& node, double scale,
+                       double offset) {
+  const double pick = rng.NextDoubleInRange(0.0, 1.0);
+  const Rect& some = node[rng.NextBelow(node.size())];
+  if (pick < 0.3) {  // Inside an existing candidate (often several).
+    const double fx = rng.NextDoubleInRange(0.0, 0.5);
+    const double fy = rng.NextDoubleInRange(0.0, 0.5);
+    return Rect(some.xl + fx * some.Width(), some.yl + fy * some.Height(),
+                some.xu - fx * some.Width(), some.yu - fy * some.Height());
+  }
+  if (pick < 0.4) return some;  // An exact duplicate of a candidate.
+  if (pick < 0.5) {             // A point, possibly on a shared edge.
+    const double x = offset + scale * std::round(rng.NextDouble() * 8) / 8;
+    return Rect(x, some.yl, x, some.yl);
+  }
+  const double x = rng.NextDoubleInRange(-0.1, 1.0);
+  const double y = rng.NextDoubleInRange(-0.1, 1.0);
+  return Rect(offset + scale * x, offset + scale * y,
+              offset + scale * (x + rng.NextDoubleInRange(0.0, 0.2)),
+              offset + scale * (y + rng.NextDoubleInRange(0.0, 0.2)));
+}
+
+TEST(ChooseSubtreeTest, MatchesDirectDefinitionOnAdversarialNodes) {
+  Rng rng(1996);
+  // Unit scale; a large offset (rounded sums); tiny scale (underflowing
+  // areas); areas near the overflow threshold; and 1e160, where areas
+  // overflow to infinity and the enlargement keys turn NaN.
+  const std::pair<double, double> kFrames[] = {
+      {1.0, 0.0}, {1e-3, 1e6}, {1e-160, 0.0}, {1e153, 0.0}, {1e160, 0.0}};
+  for (const auto& [scale, offset] : kFrames) {
+    for (size_t n = 2; n <= kMaxDirEntries; ++n) {
+      for (int round = 0; round < 6; ++round) {
+        const std::vector<Rect> node = AdversarialNode(rng, n, scale, offset);
+        ExpectSameChoice(node, AdversarialInsert(rng, node, scale, offset));
+      }
+    }
+  }
+}
+
+TEST(ChooseSubtreeTest, EdgeTouchingTilesHaveNoOverlap) {
+  // A 10x10 tiling of unit squares touches only along edges: every
+  // intersection area is exactly 0, whatever the scan reports.
+  std::vector<Rect> tiles;
+  for (int i = 0; i < 10; ++i) {
+    for (int j = 0; j < 10; ++j) tiles.emplace_back(i, j, i + 1, j + 1);
+  }
+  for (const Rect& rect : {Rect(3, 3, 3, 3), Rect(2.5, 2.5, 3.5, 3.5),
+                           Rect(4, 0, 4, 10), Rect(-1, -1, 0, 0),
+                           Rect(9.5, 9.5, 11, 11), Rect(0, 0, 10, 10)}) {
+    ExpectSameChoice(tiles, rect);
+  }
+}
+
+TEST(ChooseSubtreeTest, NestedCandidatesPickTheSmallestContainer) {
+  std::vector<Rect> nested;
+  for (int k = 10; k >= 1; --k) nested.emplace_back(-k, -k, k, k);
+  const Rect inside(-0.5, -0.5, 0.5, 0.5);
+  ExpectSameChoice(nested, inside);
+  EXPECT_EQ(ChooseLeastOverlapEnlargement(EntriesOf(nested), inside), 9u);
+  ExpectSameChoice(nested, Rect(0.5, 0.5, 1.5, 1.5));
+  ExpectSameChoice(nested, Rect(11, 11, 12, 12));
+}
+
+TEST(ChooseSubtreeTest, FullTiesFallToTheLowestIndex) {
+  // Identical candidates: every key ties and index 0 wins, with and
+  // without the rect inside them.
+  const std::vector<Rect> copies(7, Rect(0, 0, 2, 2));
+  EXPECT_EQ(ChooseLeastOverlapEnlargement(EntriesOf(copies), Rect(1, 1, 1, 1)),
+            0u);
+  ExpectSameChoice(copies, Rect(1, 1, 1, 1));
+  ExpectSameChoice(copies, Rect(3, 3, 4, 4));
+  // Mirror-image candidates around the rect: equal area enlargement, area
+  // and overlap enlargement, so the index decides.
+  const std::vector<Rect> mirrored = {Rect(2, 0, 3, 1), Rect(-3, 0, -2, 1),
+                                      Rect(0, 2, 1, 3), Rect(0, -3, 1, -2),
+                                      Rect(10, 10, 11, 11)};
+  ExpectSameChoice(mirrored, Rect(0, 0, 1, 1));
+  // Zero-area candidates on one line: area enlargement and area tie at 0.
+  const std::vector<Rect> segments = {Rect(0, 0, 1, 0), Rect(1, 0, 2, 0),
+                                      Rect(2, 0, 3, 0), Rect(0, 0, 3, 0)};
+  ExpectSameChoice(segments, Rect(0.5, 0, 0.5, 0));
+  ExpectSameChoice(segments, Rect(4, 0, 5, 0));
+  ExpectSameChoice(segments, Rect(1, 1, 1, 1));
+}
+
+TEST(ChooseSubtreeTest, OverflowingKeysMatchTheDirectDefinition) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Finite areas whose overlap sums overflow: a hundred copies of a
+  // 1e307-area square, so each copy's two sums reach infinity and its
+  // overlap enlargement is NaN, beside one disjoint square.
+  const double side = 3e153;
+  std::vector<Rect> big(100, Rect(0, 0, side, side));
+  big.push_back(Rect(2 * side, 0, 3 * side, side));
+  ExpectSameChoice(big, Rect(side / 2, side / 2, side / 2, side / 2));
+  ExpectSameChoice(big, Rect(2.5 * side, 0, 2.5 * side, 0));
+  // Infinite coordinates: the whole plane, half-planes, and a point at
+  // infinity (NaN width), next to ordinary rects.
+  const std::vector<Rect> infinite = {
+      Rect(0, 0, 1, 1), Rect(-kInf, -kInf, kInf, kInf), Rect(0, 0, kInf, 1),
+      Rect(kInf, kInf, kInf, kInf), Rect(-1, -1, 0, 0), Rect(0.5, 0, 2, 1)};
+  for (const Rect& rect :
+       {Rect(0.2, 0.2, 0.3, 0.3), Rect(-kInf, -kInf, kInf, kInf),
+        Rect(5, 5, 5, 5), Rect(-kInf, 0, 0, 0)}) {
+    ExpectSameChoice(infinite, rect);
+  }
+}
+
+// Every golden figure and exact benchmark count depends on the pages of
+// the insertion-built paper trees. The constants were recorded before the
+// level-1 ChooseSubtree rewrite; a faster insertion path must keep them.
+TEST(RStarTreeFingerprintTest, PaperMapsAtScale005KeepTheirPages) {
+  const PaperWorkload workload(PaperWorkloadSpec().Scaled(0.05));
+  EXPECT_EQ(TreeFingerprint(workload.tree_r()), 0x91d186b7211e263eULL);
+  EXPECT_EQ(TreeFingerprint(workload.tree_s()), 0xb3c1182432545140ULL);
+}
 
 }  // namespace
 }  // namespace psj

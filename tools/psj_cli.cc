@@ -525,7 +525,6 @@ int CmdReport(int argc, char** argv) {
   const std::string out_dir = StringFlag(argc, argv, "out-dir", "");
   const std::string golden_dir = StringFlag(argc, argv, "golden-dir",
                                             "golden");
-  const std::string cache_dir = StringFlag(argc, argv, "cache-dir", "/tmp");
   const bool check = BoolFlag(argc, argv, "check");
   const bool update_goldens = BoolFlag(argc, argv, "update-goldens");
   const bool with_native = BoolFlag(argc, argv, "native");
@@ -562,13 +561,7 @@ int CmdReport(int argc, char** argv) {
     workload_spec = workload_spec.Scaled(scale);
   }
   std::fprintf(stderr, "[report] preparing workload (scale %g)...\n", scale);
-  std::filesystem::create_directories(cache_dir);  // Cache is best-effort.
-  auto workload = PaperWorkload::LoadOrBuildCached(workload_spec, cache_dir);
-  if (!workload.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 workload.status().ToString().c_str());
-    return 1;
-  }
+  const PaperWorkload workload(workload_spec);
 
   report::RunOptions options;
   options.scale = scale;
@@ -581,7 +574,7 @@ int CmdReport(int argc, char** argv) {
     std::fprintf(stderr, "[report] running %s (%s)...\n", spec->name,
                  spec->title);
     report::FigureReportEntry entry;
-    entry.doc = report::RunFigure(*spec, **workload, options);
+    entry.doc = report::RunFigure(*spec, workload, options);
     entry.expectation = spec->expectation;
     if (update_goldens) {
       std::filesystem::create_directories(golden_dir);
@@ -632,7 +625,7 @@ int CmdReport(int argc, char** argv) {
     native_options.scale = scale;
     native_options.repeats = IntFlag(argc, argv, "native-repeats", 3);
     report::FigureReportEntry entry;
-    entry.doc = report::RunNativeSpeedupFigure(**workload, native_options);
+    entry.doc = report::RunNativeSpeedupFigure(workload, native_options);
     entry.expectation = report::kNativeSpeedupExpectation;
     const double* verified = entry.doc.FindScalar("verified");
     if (verified == nullptr || *verified != 1.0) {
@@ -657,7 +650,7 @@ int CmdReport(int argc, char** argv) {
     serve_options.duration_micros =
         IntFlag(argc, argv, "serve-duration-ms", 500) * int64_t{1000};
     report::FigureReportEntry entry;
-    entry.doc = report::RunServeThroughputFigure(**workload, serve_options);
+    entry.doc = report::RunServeThroughputFigure(workload, serve_options);
     entry.expectation = report::kServeExpectation;
     const double* verified = entry.doc.FindScalar("verified");
     if (verified == nullptr || *verified != 1.0) {
@@ -678,7 +671,7 @@ int CmdReport(int argc, char** argv) {
     std::fprintf(stderr, "[report] profiling %s...\n", label.c_str());
     trace::TraceSink sink;
     config.trace = &sink;
-    auto result = (*workload)->RunJoin(config);
+    auto result = workload.RunJoin(config);
     if (!result.ok()) {
       std::fprintf(stderr, "error: profile run failed: %s\n",
                    result.status().ToString().c_str());
@@ -1020,7 +1013,7 @@ int Usage() {
       "           [--trace=OUT.json] [--trace-sample-every=N]\n"
       "  report   [--figures=fig5,...] [--scale=F] [--jobs=N]\n"
       "           [--golden-dir=DIR] [--check | --update-goldens]\n"
-      "           [--out-dir=DIR] [--cache-dir=DIR]\n"
+      "           [--out-dir=DIR]\n"
       "           [--native] [--native-repeats=N]\n"
       "           [--serve] [--serve-duration-ms=N]\n");
   return 2;
