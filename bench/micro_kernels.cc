@@ -182,7 +182,7 @@ Row BenchSortByXl(Rng& rng, size_t n) {
     batches[v].Assign(rects[v]);
   }
   std::vector<uint32_t> order;
-  std::vector<std::pair<double, uint32_t>> keys;
+  std::vector<std::pair<uint64_t, uint32_t>> keys;
   size_t v = 0;
   const auto [scalar_ns, batch_ns] = TimeBothNs(
       [&] {

@@ -84,6 +84,33 @@ void ScanIntersectingScalar(const RectSoAView& node, const Rect& query,
   }
 }
 
+void SelectInXOrder(const RectSoAView& view, const uint8_t* x_order,
+                    const Rect* clip, std::vector<uint32_t>* out_ids) {
+  const size_t n = view.size;
+  if (clip == nullptr) {
+    out_ids->assign(x_order, x_order + n);
+    return;
+  }
+  const Rect c = *clip;
+  // Every index is stored; the cursor moves past it only when the rect
+  // meets the clip, so the data-random keep pattern costs no branch. The
+  // walk ends at the first xl past the clip: every later xl is at least as
+  // large (NaN keys, which come last, fail the test below instead).
+  out_ids->resize(n);
+  uint32_t* const out = out_ids->data();
+  size_t count = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t i = x_order[k];
+    if (view.xl[i] > c.xu) break;
+    out[count] = i;
+    count += static_cast<size_t>(view.xl[i] <= c.xu) &
+             static_cast<size_t>(c.xl <= view.xu[i]) &
+             static_cast<size_t>(view.yl[i] <= c.yu) &
+             static_cast<size_t>(c.yl <= view.yu[i]);
+  }
+  out_ids->resize(count);
+}
+
 #if PSJ_NODE_SCAN_X86
 
 __attribute__((target("sse2"))) void ScanIntersectingSse2(

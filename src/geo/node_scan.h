@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
-#include <utility>
 #include <vector>
 
 #include "geo/rect.h"
@@ -46,43 +44,39 @@ void ScanIntersectingSse2(const RectSoAView& node, const Rect& query,
 void ScanIntersectingAvx2(const RectSoAView& node, const Rect& query,
                           std::vector<uint32_t>* out_ids);
 
-/// \brief BatchSweepJoin over two SoA views (e.g. cached tree nodes).
+/// Fills `*out_ids` (after clearing it) with the view's indices in the
+/// order `x_order` lists them, keeping only the rectangles that intersect
+/// `*clip` (closed boundaries, as ScanIntersecting), or all of them when
+/// `clip` is null. `x_order` must be a permutation of [0, view.size) in
+/// (xl, index) order, NaN keys last, e.g. NodeSoAView::x_order. The walk
+/// stops at the first xl past the clip and keeps entries without a branch.
+void SelectInXOrder(const RectSoAView& view, const uint8_t* x_order,
+                    const Rect* clip, std::vector<uint32_t>* out_ids);
+
+/// \brief BatchSweepJoin over two SoA views that carry their x-orders
+/// (e.g. cached tree nodes, rtree/node_soa.h).
 ///
-/// Identical pipeline, emission order and survivor counts as BatchSweepJoin
-/// over raw batches holding the same rectangles, but skips loading the raw
-/// batches entirely: the restriction scans the views in place and only the
-/// survivors are gathered. `scratch.ids_r.size()` / `ids_s.size()`
-/// afterwards give the survivor counts (with `clip` null, the full sizes).
-/// Returns the exact y-test count.
+/// Each side's survivors — the rectangles intersecting `clip`, or all of
+/// them with `clip` null — are taken in x-order (SelectInXOrder) and
+/// gathered once. Entries taken in order from a sequence sorted by
+/// (xl, index) stay sorted by (xl, index), which is the order
+/// SortedOrderByXl gives the survivors in BatchSweepJoin; so the sweep sees
+/// the same batches, with no per-call sort, and emits the same pairs in the
+/// same order with the same y-test count. `scratch.ids_r` / `ids_s`
+/// afterwards hold the survivors' view indices in sweep order; their sizes
+/// are the survivor counts. Returns the exact y-test count.
 template <typename Callback>
 size_t BatchSweepJoinViews(SweepScratch& scratch, const RectSoAView& r,
-                           const RectSoAView& s, const Rect* clip,
+                           const uint8_t* r_x_order, const RectSoAView& s,
+                           const uint8_t* s_x_order, const Rect* clip,
                            Callback&& emit) {
-  if (clip != nullptr) {
-    ScanIntersecting(r, *clip, &scratch.ids_r);
-    ScanIntersecting(s, *clip, &scratch.ids_s);
-    scratch.kept_r.AssignGather(r, scratch.ids_r);
-    scratch.kept_s.AssignGather(s, scratch.ids_s);
-    SortedOrderByXl(scratch.kept_r, &scratch.order_r, &scratch.keys);
-    SortedOrderByXl(scratch.kept_s, &scratch.order_s, &scratch.keys);
-    scratch.sorted_r.AssignGather(scratch.kept_r, scratch.order_r);
-    scratch.sorted_s.AssignGather(scratch.kept_s, scratch.order_s);
-  } else {
-    scratch.ids_r.resize(r.size);
-    scratch.ids_s.resize(s.size);
-    std::iota(scratch.ids_r.begin(), scratch.ids_r.end(), 0u);
-    std::iota(scratch.ids_s.begin(), scratch.ids_s.end(), 0u);
-    SortedOrderByXl(r, &scratch.order_r, &scratch.keys);
-    SortedOrderByXl(s, &scratch.order_s, &scratch.keys);
-    scratch.sorted_r.AssignGather(r, scratch.order_r);
-    scratch.sorted_s.AssignGather(s, scratch.order_s);
-  }
+  SelectInXOrder(r, r_x_order, clip, &scratch.ids_r);
+  SelectInXOrder(s, s_x_order, clip, &scratch.ids_s);
+  scratch.sorted_r.AssignGather(r, scratch.ids_r);
+  scratch.sorted_s.AssignGather(s, scratch.ids_s);
   return PlaneSweepBatchSorted(
       scratch.sorted_r, scratch.sorted_s, &scratch.pairs,
-      [&](size_t i, size_t j) {
-        emit(scratch.ids_r[scratch.order_r[i]],
-             scratch.ids_s[scratch.order_s[j]]);
-      });
+      [&](size_t i, size_t j) { emit(scratch.ids_r[i], scratch.ids_s[j]); });
 }
 
 }  // namespace psj

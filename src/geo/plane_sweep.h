@@ -12,8 +12,8 @@
 namespace psj {
 
 /// Returns the permutation that sorts `rects` ascending by xl (ties broken
-/// by index for determinism). This is the sort order required by the
-/// plane-sweep join of §2.2.
+/// by index for determinism, NaN keys last). This is the sort order
+/// required by the plane-sweep join of §2.2.
 std::vector<uint32_t> SortedOrderByXl(std::span<const Rect> rects);
 
 /// True iff `rects` is sorted ascending by xl.

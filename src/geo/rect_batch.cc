@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -80,41 +82,49 @@ inline uint32_t IntersectMask(const RectBatch& batch, size_t l,
 // the run whose y-extent overlaps [anchor_yl, anchor_yu], in ascending order.
 // Returns the run length (= number of y-tests). Because xl is sorted, the
 // in-run bits of each window form a prefix, so the run ends at the first zero
-// bit and the window where that happens is the last one examined. Sentinel
-// lanes (xl = +inf) stop the run at size() for every finite anchor_xu.
+// bit and the window where that happens is the last one examined. The run
+// never reaches past size(): for a finite anchor_xu the sentinel lanes
+// (xl = +inf) end it there, and for anchor_xu = +inf the last window masks
+// them off — they would join the run, and an anchor spanning the whole y
+// axis passes their y test.
 template <typename Append>
 inline size_t ForwardScan(const RectBatch& batch, size_t lo, double anchor_xu,
                           double anchor_yl, double anchor_yu, Append&& append) {
   const size_t n = batch.size();
-  if (lo >= n) {
-    return 0;
-  }
   const VecD axu = Set1(anchor_xu);
   const VecD ayl = Set1(anchor_yl);
   const VecD ayu = Set1(anchor_yu);
+  const auto append_hits = [&](size_t l, uint32_t y_hit) {
+    for (; y_hit != 0; y_hit &= y_hit - 1) {
+      append(l + static_cast<size_t>(std::countr_zero(y_hit)));
+    }
+  };
   size_t tests = 0;
-  for (size_t l = lo; l + kWidth <= batch.padded_size(); l += kWidth) {
+  size_t l = lo;
+  for (; l + kWidth <= n; l += kWidth) {
     const uint32_t run = MoveMask(CmpLe(Load(batch.xl() + l), axu));
     uint32_t y_hit = MoveMask(And(CmpLe(ayl, Load(batch.yu() + l)),
                                   CmpLe(Load(batch.yl() + l), ayu)));
     if (run != kFullMask) {
       const unsigned prefix = std::countr_zero(~run & kFullMask);
       tests += prefix;
-      y_hit &= (1u << prefix) - 1u;
-      for (; y_hit != 0; y_hit &= y_hit - 1) {
-        append(l + static_cast<size_t>(std::countr_zero(y_hit)));
-      }
+      append_hits(l, y_hit & ((1u << prefix) - 1u));
       return tests;
     }
     tests += kWidth;
-    for (; y_hit != 0; y_hit &= y_hit - 1) {
-      append(l + static_cast<size_t>(std::countr_zero(y_hit)));
-    }
+    append_hits(l, y_hit);
   }
-  // Only reachable with a non-finite anchor_xu, where the sentinels cannot
-  // stop the run (their y-extents still fail every test, so nothing bogus is
-  // appended); clamp the count to the real lanes scanned.
-  return std::min(tests, n - lo);
+  if (l < n) {
+    // The window of the last n - l < kWidth real lanes.
+    const uint32_t run = MoveMask(CmpLe(Load(batch.xl() + l), axu)) &
+                         ((1u << (n - l)) - 1u);
+    const uint32_t y_hit = MoveMask(And(CmpLe(ayl, Load(batch.yu() + l)),
+                                        CmpLe(Load(batch.yl() + l), ayu)));
+    const unsigned prefix = std::countr_zero(~run & kFullMask);
+    tests += prefix;
+    append_hits(l, y_hit & ((1u << prefix) - 1u));
+  }
+  return tests;
 }
 
 #if defined(__AVX2__)
@@ -203,6 +213,11 @@ void FilterIntersecting(const RectBatch& batch, const Rect& clip,
     }
   }
 #endif
+  // The last vector can reach past size() into the padding, whose
+  // sentinels satisfy exactly one clip, the whole plane
+  // (-inf, -inf, +inf, +inf). Hits are ascending, so any such lanes sit
+  // at the end.
+  while (!out_ids->empty() && out_ids->back() >= n) out_ids->pop_back();
 }
 
 size_t FirstIntersecting(const RectBatch& batch, const Rect& query) {
@@ -211,7 +226,10 @@ size_t FirstIntersecting(const RectBatch& batch, const Rect& query) {
   for (size_t base = 0; base < n; base += kWidth) {
     const uint32_t bits = IntersectMask(batch, base, c);
     if (bits != 0) {
-      return base + std::countr_zero(bits);
+      // A first hit past size() is a sentinel lane, which only the whole
+      // plane (-inf, -inf, +inf, +inf) reaches; no real lane follows it.
+      const size_t first = base + std::countr_zero(bits);
+      return first < n ? first : RectBatch::npos;
     }
   }
   return RectBatch::npos;
@@ -285,6 +303,7 @@ size_t SweepCollectPairs(const RectBatch& r, const RectBatch& s,
     const __m256i step_v = _mm256_set1_epi64x(
         static_cast<int64_t>(kWidth) << (r_anchor ? 32 : 0));
     const size_t tests_before = tests;
+    const size_t count_before = count;
     // The kernel reads eight array streams (4 coords x 2 sides) — too many
     // for the hardware prefetcher to track reliably once the working set
     // spills out of L1 — so pull the next cache line of each scan-side
@@ -332,10 +351,19 @@ size_t SweepCollectPairs(const RectBatch& r, const RectBatch& s,
       }
       base_v = _mm256_add_epi64(base_hi, step_v);
     }
-    // As in ForwardScan: with a non-finite anchor_xu the sentinels cannot
-    // stop the run, so clamp this scan's test count to the real lanes.
-    tests = tests_before +
-            std::min(tests - tests_before, scan.size() - lo);
+    // Only anchor_xu = +inf carries the run past the real lanes, as the
+    // sentinels' xl is +inf: cut the test count at size(), and drop the
+    // sentinels' pairs — an anchor spanning the whole y axis passes their
+    // y test. They were emitted last, with the scanned index in the half
+    // the lookup table put it.
+    if (tests - tests_before > scan.size() - lo) {
+      tests = tests_before + (scan.size() - lo);
+      const unsigned scanned_shift = r_anchor ? 32 : 0;
+      while (count > count_before &&
+             (out[count - 1] >> scanned_shift & 0xffffffffu) >= scan.size()) {
+        --count;
+      }
+    }
     i += static_cast<size_t>(r_anchor);
     j += static_cast<size_t>(!r_anchor);
   }
@@ -379,34 +407,63 @@ size_t SweepCollectPairs(const RectBatch& r, const RectBatch& s,
 
 namespace {
 
-void SortedOrderByXlPlane(const double* xl, size_t n,
-                          std::vector<uint32_t>* order,
-                          std::vector<std::pair<double, uint32_t>>* key_scratch) {
+// Largest input SortedOrderByXl sorts by insertion rather than std::sort.
+constexpr size_t kInsertionSortMax = 32;
+
+// An integer image of an xl key that orders as SortedOrderByXl does:
+// ascending doubles map to ascending integers, -0.0 and +0.0 to the same
+// one, and every NaN to the largest, after +inf. So (key, index) pairs
+// compare lexicographically in sweep order, ties by index — a strict weak
+// order for every double, which std::sort needs: a sealed node may hold a
+// NaN coordinate, since bulk and page-file loads do not validate rects.
+uint64_t XlSortKey(double xl) {
+  if (std::isnan(xl)) return std::numeric_limits<uint64_t>::max();
+  // Adding +0.0 turns -0.0 into +0.0. Setting the sign bit lifts the
+  // non-negative doubles, whose bit patterns ascend with their values,
+  // above the negative ones, whose order the complement reverses.
+  const uint64_t bits = std::bit_cast<uint64_t>(xl + 0.0);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+void SortedOrderByXlPlane(
+    const double* xl, size_t n, std::vector<uint32_t>* order,
+    std::vector<std::pair<uint64_t, uint32_t>>* key_scratch) {
   key_scratch->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*key_scratch)[i] = {xl[i], static_cast<uint32_t>(i)};
+  std::pair<uint64_t, uint32_t>* const keys = key_scratch->data();
+  if (n <= kInsertionSortMax) {
+    // Node-sized inputs: straight insertion in index order, which beats
+    // std::sort's partitioning pass there (Seal() sorts every node). Each
+    // key goes in behind its equals, so ties keep index order.
+    for (size_t i = 0; i < n; ++i) {
+      const std::pair<uint64_t, uint32_t> key{XlSortKey(xl[i]),
+                                              static_cast<uint32_t>(i)};
+      size_t k = i;
+      for (; k > 0 && key.first < keys[k - 1].first; --k) {
+        keys[k] = keys[k - 1];
+      }
+      keys[k] = key;
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = {XlSortKey(xl[i]), static_cast<uint32_t>(i)};
+    }
+    std::sort(keys, keys + n);
   }
-  std::sort(key_scratch->begin(), key_scratch->end(),
-            [](const std::pair<double, uint32_t>& a,
-               const std::pair<double, uint32_t>& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
   order->resize(n);
   for (size_t i = 0; i < n; ++i) {
-    (*order)[i] = (*key_scratch)[i].second;
+    (*order)[i] = keys[i].second;
   }
 }
 
 }  // namespace
 
 void SortedOrderByXl(const RectBatch& batch, std::vector<uint32_t>* order,
-                     std::vector<std::pair<double, uint32_t>>* key_scratch) {
+                     std::vector<std::pair<uint64_t, uint32_t>>* key_scratch) {
   SortedOrderByXlPlane(batch.xl(), batch.size(), order, key_scratch);
 }
 
 void SortedOrderByXl(const RectSoAView& view, std::vector<uint32_t>* order,
-                     std::vector<std::pair<double, uint32_t>>* key_scratch) {
+                     std::vector<std::pair<uint64_t, uint32_t>>* key_scratch) {
   SortedOrderByXlPlane(view.xl, view.size, order, key_scratch);
 }
 

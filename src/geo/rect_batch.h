@@ -1,6 +1,7 @@
 #ifndef PSJ_GEO_RECT_BATCH_H_
 #define PSJ_GEO_RECT_BATCH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -125,7 +126,11 @@ class RectBatch {
   }
 
  private:
+  // Sizes the planes for `n` rectangles, which the caller then writes to
+  // lanes [0, n), and puts sentinels in every lane past n.
   void Resize(size_t n) {
+    const size_t old_size = size_;
+    const size_t old_padded = xl_.size();
     size_ = n;
     // One extra block past the logical end keeps full-block reads in bounds
     // from any start index <= n.
@@ -134,8 +139,15 @@ class RectBatch {
     yl_.resize(padded);
     xu_.resize(padded);
     yu_.resize(padded);
+    // Lanes [old_size, old_padded) still hold sentinels, so only lanes that
+    // held rectangles, and lanes the resize added, need them.
+    FillSentinels(n, std::min(old_size, padded));
+    FillSentinels(std::max(n, old_padded), padded);
+  }
+
+  void FillSentinels(size_t begin, size_t end) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    for (size_t i = n; i < padded; ++i) {
+    for (size_t i = begin; i < end; ++i) {
       xl_[i] = kInf;   // Terminates the sweep x-scan.
       yl_[i] = kInf;   // Fails every y-overlap test.
       xu_[i] = -kInf;  // Fails every clip test.
@@ -157,7 +169,8 @@ const char* RectBatchSimdLevel();
 
 /// Appends to `*out_ids` (after clearing it) the indices, ascending, of the
 /// rectangles in `batch` intersecting `clip` (closed boundaries, like
-/// Rect::Intersects). The search-space restriction kernel.
+/// Rect::Intersects), never an index >= batch.size(). The search-space
+/// restriction kernel of the AoS path.
 void FilterIntersecting(const RectBatch& batch, const Rect& clip,
                         std::vector<uint32_t>* out_ids);
 
@@ -178,16 +191,17 @@ size_t CountAndEmitYOverlaps(const RectBatch& batch, size_t lo,
                              double anchor_yu, std::vector<uint32_t>* hits);
 
 /// Batched SortedOrderByXl: fills `*order` with the permutation sorting
-/// `batch` ascending by xl, ties by index (the scalar tie-break). The sort
-/// runs over packed (key, index) pairs in `*key_scratch` so comparisons
-/// never chase the AoS layout.
+/// `batch` ascending by xl, NaN keys last, ties by index (the scalar
+/// tie-break; -0.0 and +0.0 tie). The sort runs over packed (integer key,
+/// index) pairs in `*key_scratch` so comparisons never chase the AoS
+/// layout.
 void SortedOrderByXl(const RectBatch& batch, std::vector<uint32_t>* order,
-                     std::vector<std::pair<double, uint32_t>>* key_scratch);
+                     std::vector<std::pair<uint64_t, uint32_t>>* key_scratch);
 
 /// View overload of SortedOrderByXl: same permutation and tie-break over a
 /// SoA view's xl plane.
 void SortedOrderByXl(const RectSoAView& view, std::vector<uint32_t>* order,
-                     std::vector<std::pair<double, uint32_t>>* key_scratch);
+                     std::vector<std::pair<uint64_t, uint32_t>>* key_scratch);
 
 /// \brief The full plane-sweep join over two x-sorted batches as one fused
 /// kernel call.
@@ -221,8 +235,9 @@ size_t PlaneSweepBatchSorted(const RectBatch& r, const RectBatch& s,
 }
 
 /// Reusable buffers for the full batched filter-step pipeline (restriction →
-/// sort → sweep). Keep one per joiner and pass it to every call to avoid the
-/// per-node-pair vector allocations of the scalar path.
+/// sort → sweep, or restriction in x-order → sweep for BatchSweepJoinViews).
+/// Keep one per joiner and pass it to every call to avoid the per-node-pair
+/// vector allocations of the scalar path.
 struct SweepScratch {
   RectBatch raw_r;     // Caller-loaded inputs.
   RectBatch raw_s;
@@ -230,11 +245,11 @@ struct SweepScratch {
   RectBatch kept_s;
   RectBatch sorted_r;  // Survivors in sweep (xl) order.
   RectBatch sorted_s;
-  std::vector<uint32_t> ids_r;    // Survivor position -> original index.
-  std::vector<uint32_t> ids_s;
+  std::vector<uint32_t> ids_r;    // Survivor position -> original index
+  std::vector<uint32_t> ids_s;    // (in sweep order on the x-order path).
   std::vector<uint32_t> order_r;  // Sweep position -> survivor position.
   std::vector<uint32_t> order_s;
-  std::vector<std::pair<double, uint32_t>> keys;
+  std::vector<std::pair<uint64_t, uint32_t>> keys;
   std::vector<uint32_t> hits;
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
 };

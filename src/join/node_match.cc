@@ -104,7 +104,8 @@ std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntriesSoA(
 
   if (options.use_plane_sweep) {
     local_counts.pairs_tested = BatchSweepJoinViews(
-        sc, node_r.rects, node_s.rects, clip_ptr, [&](size_t i, size_t j) {
+        sc, node_r.rects, node_r.x_order, node_s.rects, node_s.x_order,
+        clip_ptr, [&](size_t i, size_t j) {
           result.emplace_back(static_cast<uint32_t>(i),
                               static_cast<uint32_t>(j));
         });

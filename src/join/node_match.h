@@ -55,8 +55,10 @@ std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntries(
 /// Bit-identical to MatchNodeEntries on the corresponding nodes — the same
 /// pairs in the same order and the same counts — but skips the per-call
 /// AoS→SoA transposition and the two scalar MBR folds (the views carry
-/// precomputed MBRs), and runs the restriction on the runtime-dispatched
-/// intra-node scan kernels.
+/// precomputed MBRs), and, in plane-sweep mode, the per-call sort: the
+/// restriction walks each view's x-order and hands the sweep its survivors
+/// already sorted (BatchSweepJoinViews). The nested-loop ablation restricts
+/// with the intra-node scan kernel.
 std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntriesSoA(
     const NodeSoAView& node_r, const NodeSoAView& node_s,
     const NodeMatchOptions& options = NodeMatchOptions(),

@@ -1,6 +1,9 @@
 #include "rtree/node_soa.h"
 
 #include <limits>
+#include <utility>
+
+#include "util/check.h"
 
 namespace psj {
 
@@ -10,15 +13,19 @@ void NodeSoACache::Build(const std::vector<RTreeNode>& nodes,
   const size_t num = nodes.size();
   segments_.assign(num, Segment{});
   size_t lanes = 0;
+  size_t entries = 0;
   for (size_t p = 1; p < num; ++p) {
     if (is_free[p]) continue;
     Segment& seg = segments_[p];
     seg.offset = lanes;
+    seg.order_offset = entries;
     seg.count = nodes[p].entries.size();
+    PSJ_CHECK_LE(seg.count, kMaxEntries) << "entries on page" << p;
     // Same padding rule as RectBatch::Resize: at least one whole spare
     // block, so kernels may read kBlock lanes from any index <= count.
     seg.padded = ((seg.count / kBlock) + 2) * kBlock;
     lanes += seg.padded;
+    entries += seg.count;
   }
   constexpr double kInf = std::numeric_limits<double>::infinity();
   xl_.assign(lanes, kInf);   // Sentinels: terminate x-scans,
@@ -26,6 +33,9 @@ void NodeSoACache::Build(const std::vector<RTreeNode>& nodes,
   xu_.assign(lanes, -kInf);  // fail every clip test.
   yu_.assign(lanes, -kInf);
   ids_.assign(lanes, 0);
+  x_order_.resize(entries);
+  std::vector<uint32_t> order;
+  std::vector<std::pair<uint64_t, uint32_t>> keys;
   for (size_t p = 1; p < num; ++p) {
     if (is_free[p]) continue;
     Segment& seg = segments_[p];
@@ -43,6 +53,12 @@ void NodeSoACache::Build(const std::vector<RTreeNode>& nodes,
       mbr.ExpandToInclude(entry.rect);
     }
     seg.mbr = mbr;
+    // The sweep order of the whole node; kMaxEntries keeps each index in
+    // one byte.
+    SortedOrderByXl(view(static_cast<uint32_t>(p)).rects, &order, &keys);
+    for (size_t k = 0; k < seg.count; ++k) {
+      x_order_[seg.order_offset + k] = static_cast<uint8_t>(order[k]);
+    }
   }
 }
 

@@ -12,14 +12,18 @@
 namespace psj {
 
 /// \brief One node's cached SoA image: the sentinel-padded coordinate
-/// planes (RectBatch conventions), the entry ids alongside, and the node
-/// MBR precomputed with the exact ExpandToInclude fold of
-/// RTreeNode::ComputeMbr — so descent paths neither re-transpose the
-/// entries nor re-fold the MBR.
+/// planes (RectBatch conventions), the entry ids alongside, the node MBR
+/// precomputed with the exact ExpandToInclude fold of RTreeNode::ComputeMbr
+/// — so descent paths neither re-transpose the entries nor re-fold the MBR
+/// — and the entries' plane-sweep order.
 struct NodeSoAView {
   RectSoAView rects;
   const uint64_t* ids = nullptr;
   Rect mbr = Rect::Empty();
+  /// The `size()` entry indices in (xl, index) order, NaN keys last: the
+  /// permutation SortedOrderByXl gives over `rects`, so the join sweeps a
+  /// node without sorting it (BatchSweepJoinViews).
+  const uint8_t* x_order = nullptr;
 
   size_t size() const { return rects.size; }
 };
@@ -30,11 +34,16 @@ struct NodeSoAView {
 /// All nodes share four flat coordinate planes plus one id plane; each node
 /// owns a private kBlock-aligned segment padded with sentinel lanes, so the
 /// intra-node kernels (geo/node_scan.h) may read full blocks past a node's
-/// last entry without touching a neighbour's coordinates.
+/// last entry without touching a neighbour's coordinates. A fifth, unpadded
+/// plane holds every node's x-order, one byte per entry.
 class NodeSoACache {
  public:
+  /// Most entries a node may hold: x-order indices are single bytes.
+  static constexpr size_t kMaxEntries = 256;
+
   /// (Re)builds the planes for every live page of `nodes`; pages flagged in
-  /// `is_free` get empty views.
+  /// `is_free` get empty views. Every live node must hold at most
+  /// kMaxEntries entries.
   void Build(const std::vector<RTreeNode>& nodes,
              const std::vector<bool>& is_free);
 
@@ -44,16 +53,17 @@ class NodeSoACache {
         RectSoAView{xl_.data() + seg.offset, yl_.data() + seg.offset,
                     xu_.data() + seg.offset, yu_.data() + seg.offset,
                     seg.count, seg.padded},
-        ids_.data() + seg.offset, seg.mbr};
+        ids_.data() + seg.offset, seg.mbr, x_order_.data() + seg.order_offset};
   }
 
   size_t num_pages() const { return segments_.size(); }
 
  private:
   struct Segment {
-    size_t offset = 0;  // First lane of this node in the shared planes.
-    size_t count = 0;   // Real entries.
-    size_t padded = 0;  // Lanes including the sentinel tail.
+    size_t offset = 0;        // First lane of this node in the shared planes.
+    size_t order_offset = 0;  // First byte of this node in x_order_.
+    size_t count = 0;         // Real entries.
+    size_t padded = 0;        // Lanes including the sentinel tail.
     Rect mbr = Rect::Empty();
   };
 
@@ -63,6 +73,7 @@ class NodeSoACache {
   std::vector<double> xu_;
   std::vector<double> yu_;
   std::vector<uint64_t> ids_;
+  std::vector<uint8_t> x_order_;
 };
 
 }  // namespace psj

@@ -167,6 +167,8 @@ RStarTree::RStarTree(uint32_t tree_id, RTreeOptions options)
     : tree_id_(tree_id), options_(options) {
   PSJ_CHECK_GE(options_.max_dir_entries, 4u);
   PSJ_CHECK_GE(options_.max_data_entries, 4u);
+  PSJ_CHECK_LE(options_.max_dir_entries, NodeSoACache::kMaxEntries);
+  PSJ_CHECK_LE(options_.max_data_entries, NodeSoACache::kMaxEntries);
   PSJ_CHECK_GT(options_.min_fill_fraction, 0.0);
   PSJ_CHECK_LE(options_.min_fill_fraction, 0.5);
   PSJ_CHECK_GT(options_.reinsert_fraction, 0.0);

@@ -248,7 +248,8 @@ void RegionJoinQuery(const RStarTree& tree_r, const RStarTree& tree_s,
     ++local.node_scans;
     const bool leaf = nr.is_leaf();
     local.entry_tests += static_cast<int64_t>(BatchSweepJoinViews(
-        match_scratch, vr.rects, vs.rects, &clip, [&](size_t i, size_t j) {
+        match_scratch, vr.rects, vr.x_order, vs.rects, vs.x_order, &clip,
+        [&](size_t i, size_t j) {
           // The sweep guarantees pairwise overlap and overlap with the
           // clip, but not a common three-way point — post-filter exactly.
           if (!TripleIntersects(vr.rects.rect(i), vs.rects.rect(j),

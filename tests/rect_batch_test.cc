@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <span>
 #include <vector>
@@ -63,6 +65,35 @@ TEST(RectBatchTest, AssignRoundTripsAndPads) {
   }
 }
 
+// Reloading rewrites only the sentinel lanes that held rectangles or are
+// new; every load, growing or shrinking, must still leave a sentinel in
+// every lane past size().
+TEST(RectBatchTest, ReloadsKeepEveryLanePastSizeASentinel) {
+  Rng rng(20);
+  RectBatch batch;
+  RectBatch gathered;
+  for (const int count : {37, 5, 0, 70, 16, 33, 1, 100, 2, 47, 15, 64}) {
+    const auto rects = FuzzRects(rng, count, 0.3);
+    batch.Assign(rects);
+    std::vector<uint32_t> every_other;
+    for (uint32_t i = 0; i < rects.size(); i += 2) every_other.push_back(i);
+    gathered.AssignGather(batch, every_other);
+    for (const RectBatch* b : {&batch, &gathered}) {
+      const size_t stride = b == &batch ? 1 : 2;
+      ASSERT_EQ(b->size(), (rects.size() + stride - 1) / stride);
+      for (size_t i = 0; i < b->size(); ++i) {
+        EXPECT_EQ(b->rect(i), rects[i * stride]) << "count=" << count;
+      }
+      for (size_t i = b->size(); i < b->padded_size(); ++i) {
+        EXPECT_EQ(b->xl()[i], std::numeric_limits<double>::infinity());
+        EXPECT_EQ(b->yl()[i], std::numeric_limits<double>::infinity());
+        EXPECT_EQ(b->xu()[i], -std::numeric_limits<double>::infinity());
+        EXPECT_EQ(b->yu()[i], -std::numeric_limits<double>::infinity());
+      }
+    }
+  }
+}
+
 TEST(RectBatchTest, FilterIntersectingMatchesScalarLoop) {
   Rng rng(11);
   for (const int count : {0, 1, 5, 16, 17, 64, 100, 257}) {
@@ -77,6 +108,32 @@ TEST(RectBatchTest, FilterIntersectingMatchesScalarLoop) {
       if (rects[i].Intersects(clip)) expected.push_back(i);
     }
     EXPECT_EQ(ids, expected) << "count=" << count;
+  }
+}
+
+// The padding sentinels satisfy exactly one query, the whole plane; no
+// kernel may report a padding lane for it.
+TEST(RectBatchTest, WholePlaneQueryYieldsExactlyTheRealIndices) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Rect whole(-kInf, -kInf, kInf, kInf);
+  Rng rng(18);
+  for (int n = 0; n <= 40; ++n) {
+    const auto rects = FuzzRects(rng, n, 0.3);
+    RectBatch batch;
+    batch.Assign(rects);
+    std::vector<uint32_t> ids;
+    FilterIntersecting(batch, whole, &ids);
+    std::vector<uint32_t> expected(static_cast<size_t>(n));
+    std::iota(expected.begin(), expected.end(), 0u);
+    EXPECT_EQ(ids, expected) << "n=" << n;
+  }
+  // With every real rect failing (NaN), a hit could only be padding.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int n = 1; n <= 8; ++n) {
+    RectBatch batch;
+    batch.Assign(std::vector<Rect>(static_cast<size_t>(n),
+                                   Rect(nan, nan, nan, nan)));
+    EXPECT_EQ(FirstIntersecting(batch, whole), RectBatch::npos) << "n=" << n;
   }
 }
 
@@ -134,9 +191,52 @@ TEST(RectBatchTest, BatchedSortedOrderMatchesScalar) {
     RectBatch batch;
     batch.Assign(rects);
     std::vector<uint32_t> order;
-    std::vector<std::pair<double, uint32_t>> keys;
+    std::vector<std::pair<uint64_t, uint32_t>> keys;
     SortedOrderByXl(batch, &order, &keys);
     EXPECT_EQ(order, SortedOrderByXl(std::span<const Rect>(rects)));
+  }
+}
+
+// The sort keys a node can hold: NaN of either sign (bulk and page-file
+// loads do not validate rects), infinities, subnormals, and -0.0 beside
+// +0.0. The order must be a strict weak one for std::sort: ascending xl,
+// NaN last, ties by index.
+TEST(RectBatchTest, SortedOrderPlacesNaNKeysLast) {
+  using Limits = std::numeric_limits<double>;
+  constexpr double kInf = Limits::infinity();
+  const double nan = Limits::quiet_NaN();
+  const double keys[] = {nan,  0.5,  -0.0, kInf, nan,
+                         0.0,  -kInf, 0.5, nan,  -0.0,
+                         kInf, 0.25, std::copysign(nan, -1.0),
+                         Limits::denorm_min(), -Limits::denorm_min(),
+                         Limits::max(), Limits::lowest()};
+  const std::vector<uint32_t> expected = {6, 16, 14, 2,  5, 9, 13, 11, 1,
+                                          7, 15, 3,  10, 0, 4, 8,  12};
+  std::vector<Rect> rects;
+  for (const double xl : keys) rects.emplace_back(xl, 0.0, 1.0, 1.0);
+  // Repeat the keys past the 32 that SortedOrderByXl sorts by insertion,
+  // so its std::sort path runs too.
+  std::vector<Rect> many;
+  for (int copy = 0; copy < 6; ++copy) {
+    many.insert(many.end(), rects.begin(), rects.end());
+  }
+  EXPECT_EQ(SortedOrderByXl(std::span<const Rect>(rects)), expected);
+  for (const auto* set : {&rects, &many}) {
+    RectBatch batch;
+    batch.Assign(*set);
+    std::vector<uint32_t> order;
+    std::vector<std::pair<uint64_t, uint32_t>> scratch;
+    SortedOrderByXl(batch, &order, &scratch);
+    EXPECT_EQ(order, SortedOrderByXl(std::span<const Rect>(*set)));
+    for (size_t k = 1; k < order.size(); ++k) {
+      const double a = (*set)[order[k - 1]].xl;
+      const double b = (*set)[order[k]].xl;
+      const bool in_order = std::isnan(a)
+                                ? std::isnan(b) && order[k - 1] < order[k]
+                                : std::isnan(b) || a < b ||
+                                      (a == b && order[k - 1] < order[k]);
+      EXPECT_TRUE(in_order) << "k=" << k;
+    }
   }
 }
 
@@ -169,6 +269,56 @@ TEST(RectBatchTest, SortedSweepIsBitIdenticalToScalar) {
 
     EXPECT_EQ(batch_pairs, scalar_pairs) << "round=" << round;
     EXPECT_EQ(batch_tests, scalar_tests) << "round=" << round;
+  }
+}
+
+// An anchor with xu = +inf runs over every later rect, and one spanning the
+// whole y axis passes the y test of the padding sentinels too: the batched
+// sweep and forward scan must still stop at the real rects.
+TEST(RectBatchTest, InfiniteAnchorsStopAtTheRealRects) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(19);
+  for (int round = 0; round < 60; ++round) {
+    auto r = FuzzRects(rng, 1 + round % 23, 0.3);
+    auto s = FuzzRects(rng, 1 + (round * 5) % 37, 0.3);
+    for (auto* side : {&r, &s}) {
+      for (size_t k = round % 3; k < side->size(); k += 4) {
+        Rect& rect = (*side)[k];
+        if (k % 2 == 0) {
+          rect = Rect(rect.xl, -kInf, kInf, kInf);
+        } else {
+          rect = Rect(-kInf, -kInf, kInf, kInf);
+        }
+      }
+    }
+    r = SortByXl(r);
+    s = SortByXl(s);
+    std::vector<Pair> scalar_pairs;
+    size_t scalar_tests = 0;
+    PlaneSweepJoinSortedScalar(
+        std::span<const Rect>(r), std::span<const Rect>(s),
+        [&](size_t i, size_t j) { scalar_pairs.emplace_back(i, j); },
+        &scalar_tests);
+    std::vector<Pair> batch_pairs;
+    size_t batch_tests = 0;
+    PlaneSweepJoinSorted(
+        std::span<const Rect>(r), std::span<const Rect>(s),
+        [&](size_t i, size_t j) { batch_pairs.emplace_back(i, j); },
+        &batch_tests);
+    EXPECT_EQ(batch_pairs, scalar_pairs) << "round=" << round;
+    EXPECT_EQ(batch_tests, scalar_tests) << "round=" << round;
+
+    RectBatch batch;
+    batch.Assign(s);
+    for (size_t lo = 0; lo <= s.size(); ++lo) {
+      std::vector<uint32_t> hits;
+      const size_t tests =
+          CountAndEmitYOverlaps(batch, lo, kInf, -kInf, kInf, &hits);
+      std::vector<uint32_t> expected(s.size() - lo);
+      std::iota(expected.begin(), expected.end(), static_cast<uint32_t>(lo));
+      EXPECT_EQ(hits, expected) << "round=" << round << " lo=" << lo;
+      EXPECT_EQ(tests, s.size() - lo);
+    }
   }
 }
 

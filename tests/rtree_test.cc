@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -114,6 +115,24 @@ TEST(RStarTreeTest, WindowQueryMatchesLinearScan) {
     const std::set<uint64_t> actual(hits.begin(), hits.end());
     EXPECT_EQ(hits.size(), actual.size()) << "duplicate result";
     ASSERT_EQ(actual, expected) << "query " << q;
+  }
+}
+
+// The whole plane is the one window the batch kernels' padding sentinels
+// satisfy; an unsealed tree (which filters each node on a scratch batch)
+// must still report every id exactly once.
+TEST(RStarTreeTest, WholePlaneWindowOnUnsealedTreeReturnsEveryIdOnce) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(6);
+  for (const uint64_t n : {1, 5, 8, 9, 61, 300}) {
+    RStarTree tree(1, SmallOptions());
+    for (uint64_t i = 0; i < n; ++i) tree.Insert(RandomRect(rng), i);
+    ASSERT_EQ(tree.soa(), nullptr);
+    auto hits = tree.WindowQuery(Rect(-kInf, -kInf, kInf, kInf));
+    std::sort(hits.begin(), hits.end());
+    std::vector<uint64_t> expected(n);
+    std::iota(expected.begin(), expected.end(), uint64_t{0});
+    EXPECT_EQ(hits, expected) << "n=" << n;
   }
 }
 
