@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "native/native_join.h"
 #include "native/partition_join.h"
 #include "obs/metrics.h"
+#include "rtree/str_loader.h"
+#include "util/rng.h"
 
 namespace psj {
 namespace {
@@ -29,10 +32,38 @@ using native::NativeRTreeJoin;
 using native::PairSetsEqual;
 using native::PartitionJoinConfig;
 using native::PartitionSweepJoin;
+using native::SortPairs;
 using Pair = std::pair<uint64_t, uint64_t>;
 
 std::set<Pair> AsSet(const std::vector<Pair>& pairs) {
   return std::set<Pair>(pairs.begin(), pairs.end());
+}
+
+// Sorted copy: equal sorted vectors mean equal sets *and* multiplicities.
+std::vector<Pair> Sorted(std::vector<Pair> pairs) {
+  SortPairs(&pairs);
+  return pairs;
+}
+
+// Every intersecting (r, s) id pair, by a nested loop over Rect::Intersects.
+std::vector<Pair> BruteForcePairs(const std::vector<RTreeEntry>& r,
+                                  const std::vector<RTreeEntry>& s) {
+  std::vector<Pair> pairs;
+  for (const RTreeEntry& a : r) {
+    for (const RTreeEntry& b : s) {
+      if (a.rect.Intersects(b.rect)) {
+        pairs.emplace_back(a.id, b.id);
+      }
+    }
+  }
+  return Sorted(std::move(pairs));
+}
+
+Rect RandomRect(Rng& rng, double extent) {
+  const double x = rng.NextDoubleInRange(0.0, 1.0);
+  const double y = rng.NextDoubleInRange(0.0, 1.0);
+  return Rect(x, y, x + rng.NextDoubleInRange(0.0, extent),
+              y + rng.NextDoubleInRange(0.0, extent));
 }
 
 struct JoinFixture {
@@ -57,13 +88,19 @@ NativeJoinResult RunNative(const JoinFixture& fixture, int threads,
   return NativeRTreeJoin(fixture.tree_r, fixture.tree_s, config);
 }
 
-NativeJoinResult RunPartition(const JoinFixture& fixture, int threads,
-                              int grid_dim = 0) {
+NativeJoinResult RunPartition(const std::vector<RTreeEntry>& entries_r,
+                              const std::vector<RTreeEntry>& entries_s,
+                              int threads, int grid_dim = 0) {
   PartitionJoinConfig config;
   config.num_threads = threads;
   config.grid_dim = grid_dim;
-  return PartitionSweepJoin(CollectLeafEntries(fixture.tree_r),
-                            CollectLeafEntries(fixture.tree_s), config);
+  return PartitionSweepJoin(entries_r, entries_s, config);
+}
+
+NativeJoinResult RunPartition(const JoinFixture& fixture, int threads,
+                              int grid_dim = 0) {
+  return RunPartition(CollectLeafEntries(fixture.tree_r),
+                      CollectLeafEntries(fixture.tree_s), threads, grid_dim);
 }
 
 TEST(NativeJoinTest, MatchesSequentialAndBruteForceAcrossThreadCounts) {
@@ -144,6 +181,219 @@ TEST(NativeJoinTest, SkewedInputMatchesSequential) {
             sequential);
 }
 
+TEST(NativeJoinTest, PartitionWithMoreWorkersThanChunks) {
+  // Inputs of 3 and 2 entries are one chunk each, so at 8 threads most
+  // workers claim nothing in any phase; they must still pass every barrier.
+  const std::vector<RTreeEntry> r = {{Rect(0.0, 0.0, 0.4, 0.4), 1},
+                                     {Rect(0.3, 0.3, 0.7, 0.7), 2},
+                                     {Rect(0.8, 0.8, 0.9, 0.9), 3}};
+  const std::vector<RTreeEntry> s = {{Rect(0.35, 0.35, 0.5, 0.5), 10},
+                                     {Rect(0.9, 0.9, 1.0, 1.0), 11}};
+  const std::vector<Pair> expected = BruteForcePairs(r, s);
+  ASSERT_EQ(expected, (std::vector<Pair>{{1, 10}, {2, 10}, {3, 11}}));
+  for (const int threads : {1, 2, 8}) {
+    for (const int grid_dim : {0, 3}) {
+      EXPECT_EQ(Sorted(RunPartition(r, s, threads, grid_dim).candidates),
+                expected)
+          << threads << " threads, grid " << grid_dim;
+    }
+  }
+}
+
+TEST(NativeJoinTest, PartitionLongInputsSpanManyChunks) {
+  // 40,000 entries are five chunks per input, so workers claim several
+  // chunks each in every phase. A 10,000-entry run of equal xl in both
+  // inputs crosses a chunk boundary and ties throughout the tile sorts.
+  constexpr uint64_t kEntries = 40000;
+  Rng rng(33);
+  std::vector<RTreeEntry> r;
+  std::vector<RTreeEntry> s;
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    Rect a = RandomRect(rng, 0.002);
+    Rect b = RandomRect(rng, 0.002);
+    if (i >= 12000 && i < 22000) {
+      a = Rect(0.5, a.yl, 0.5 + a.Width(), a.yu);
+      b = Rect(0.5, b.yl, 0.5 + b.Width(), b.yu);
+    }
+    r.push_back({a, i});
+    s.push_back({b, i});
+  }
+  const std::vector<Pair> sequential = Sorted(
+      SequentialRTreeJoin(BuildStrTree(1, r), BuildStrTree(2, s)).candidates);
+  ASSERT_GT(sequential.size(), kEntries) << "the equal-xl runs must meet";
+  for (const int threads : {1, 4, 8}) {
+    EXPECT_EQ(Sorted(RunPartition(r, s, threads).candidates), sequential)
+        << threads << " threads";
+  }
+}
+
+TEST(NativeJoinTest, PartitionInputPastTheChunkLimit) {
+  // Past 64 chunks of 8,192 entries an input's chunks grow instead of
+  // multiplying: 600,000 entries make 64 chunks of 9,375.
+  constexpr uint64_t kEntries = 600000;
+  Rng rng(38);
+  std::vector<RTreeEntry> r;
+  std::vector<RTreeEntry> s;
+  r.reserve(kEntries);
+  s.reserve(50);
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    r.push_back({RandomRect(rng, 0.001), i});
+  }
+  for (uint64_t i = 0; i < 50; ++i) {
+    s.push_back({RandomRect(rng, 0.05), i});
+  }
+  const std::vector<Pair> expected = BruteForcePairs(r, s);
+  ASSERT_GT(expected.size(), 1000u);
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(Sorted(RunPartition(r, s, threads).candidates), expected)
+        << threads << " threads";
+  }
+}
+
+TEST(NativeJoinTest, PartitionReportsBoundaryTouchingPairsOnce) {
+  // Rects on the universe [0, 1]^2 whose edges lie exactly on the tile
+  // boundaries of grids 2, 4 and 8: cells of side 1/8 against cells of
+  // side 1/4, zero-width lines along the boundaries and points at the
+  // corners. Boundaries are closed, so cells sharing only an edge or a
+  // corner intersect, and the reference point gives each pair one tile.
+  std::vector<RTreeEntry> r;
+  std::vector<RTreeEntry> s;
+  uint64_t id = 0;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 8; ++j) {
+      r.push_back({Rect(i / 8.0, j / 8.0, (i + 1) / 8.0, (j + 1) / 8.0),
+                   id++});
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      s.push_back({Rect(i / 4.0, j / 4.0, (i + 1) / 4.0, (j + 1) / 4.0),
+                   id++});
+    }
+  }
+  for (int k = 0; k <= 4; ++k) {
+    s.push_back({Rect(k / 4.0, 0.0, k / 4.0, 1.0), id++});
+    s.push_back({Rect(0.0, k / 4.0, 1.0, k / 4.0), id++});
+    for (int j = 0; j <= 4; ++j) {
+      s.push_back({Rect(k / 4.0, j / 4.0, k / 4.0, j / 4.0), id++});
+    }
+  }
+  const std::vector<Pair> expected = BruteForcePairs(r, s);
+  for (const int grid_dim : {0, 2, 4, 8}) {
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(Sorted(RunPartition(r, s, threads, grid_dim).candidates),
+                expected)
+          << "grid " << grid_dim << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(NativeJoinTest, PartitionRectCoveringEveryTile) {
+  // One rect spans the universe, so it is replicated into every tile and
+  // meets every rect of the other input; each pair is still reported once.
+  JoinFixture fixture(600, 600, 35);
+  std::vector<RTreeEntry> r = CollectLeafEntries(fixture.tree_r);
+  const std::vector<RTreeEntry> s = CollectLeafEntries(fixture.tree_s);
+  r.push_back({Rect(-1.0, -1.0, 2.0, 2.0), uint64_t{1} << 40});
+  const std::vector<Pair> expected = BruteForcePairs(r, s);
+  ASSERT_GE(expected.size(), s.size());
+  for (const int threads : {1, 4}) {
+    for (const int grid_dim : {0, 8}) {
+      EXPECT_EQ(Sorted(RunPartition(r, s, threads, grid_dim).candidates),
+                expected)
+          << threads << " threads, grid " << grid_dim;
+    }
+  }
+}
+
+TEST(NativeJoinTest, PartitionHandlesInfiniteAndHugeCoordinates) {
+  // A +-inf coordinate makes the universe infinite on its axis: the grid's
+  // scale there is 0 and the tile offset inf * 0 = NaN. The tile
+  // arithmetic must stay defined (the sanitize preset checks
+  // float-cast-overflow) and still place every rect where the reference
+  // point finds it. The +-1e300 square keeps the universe finite but huge.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Rect> specials = {Rect(-inf, 0.2, inf, 0.21),
+                                      Rect(0.5, -inf, 0.51, inf),
+                                      Rect(-1e300, -1e300, 1e300, 1e300)};
+  // Each special alone (one infinite or huge axis), then all three.
+  const std::vector<std::vector<Rect>> cases = {
+      {specials[0]}, {specials[1]}, {specials[2]}, specials};
+  for (size_t c = 0; c < cases.size(); ++c) {
+    Rng rng(36);
+    RStarTree tree_r(1);
+    RStarTree tree_s(2);
+    for (uint64_t i = 0; i < 200; ++i) {
+      tree_r.Insert(RandomRect(rng, 0.05), i);
+      tree_s.Insert(RandomRect(rng, 0.05), i);
+    }
+    for (size_t k = 0; k < cases[c].size(); ++k) {
+      tree_r.Insert(cases[c][k], 1000 + k);
+      tree_s.Insert(cases[c][k], 2000 + k);
+    }
+    const std::vector<RTreeEntry> r = CollectLeafEntries(tree_r);
+    const std::vector<RTreeEntry> s = CollectLeafEntries(tree_s);
+    const std::vector<Pair> sequential =
+        Sorted(SequentialRTreeJoin(tree_r, tree_s).candidates);
+    ASSERT_EQ(sequential, BruteForcePairs(r, s)) << "case " << c;
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(Sorted(RunPartition(r, s, threads).candidates), sequential)
+          << "case " << c << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(NativeJoinTest, PartitionIgnoresNaNEntries) {
+  // A rect with a NaN coordinate intersects nothing, so adding such rects
+  // to either input, first or last, must change neither the grid nor the
+  // pairs.
+  JoinFixture fixture(600, 600, 37);
+  std::vector<RTreeEntry> r = CollectLeafEntries(fixture.tree_r);
+  std::vector<RTreeEntry> s = CollectLeafEntries(fixture.tree_s);
+  const std::vector<Pair> expected = Sorted(RunPartition(r, s, 1).candidates);
+  ASSERT_GT(expected.size(), 0u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Rect> nan_rects = {
+      Rect(nan, nan, nan, nan), Rect(nan, 0.2, 0.3, 0.4),
+      Rect(0.1, nan, 0.3, 0.4), Rect(0.1, 0.2, nan, 0.4),
+      Rect(0.1, 0.2, 0.3, nan), Rect(-1.0, -1.0, 2.0, nan)};
+  // A sweep takes x-overlap from the sort order, so a rect with a NaN xu
+  // that starts inside a rect of the other input would be paired with it
+  // if it reached a tile. Inside the leftmost rect it would: a NaN xu maps
+  // to tile column 0, where the leftmost rect lies.
+  const auto leftmost = [](const std::vector<RTreeEntry>& entries) {
+    return std::min_element(entries.begin(), entries.end(),
+                            [](const RTreeEntry& a, const RTreeEntry& b) {
+                              return a.rect.xl < b.rect.xl;
+                            })
+        ->rect;
+  };
+  const Rect left_r = leftmost(r);
+  const Rect left_s = leftmost(s);
+  ASSERT_GT(left_r.Width(), 0.0);
+  ASSERT_GT(left_s.Width(), 0.0);
+  uint64_t id = uint64_t{1} << 40;
+  r.insert(r.begin(), RTreeEntry{Rect(nan, -1.0, 2.0, 2.0), id++});
+  r.push_back({Rect(left_s.xl + left_s.Width() / 2, left_s.yl, nan,
+                    left_s.yu),
+               id++});
+  s.push_back({Rect(left_r.xl + left_r.Width() / 2, left_r.yl, nan,
+                    left_r.yu),
+               id++});
+  for (const Rect& rect : nan_rects) {
+    r.push_back({rect, id++});
+    s.push_back({rect, id++});
+  }
+  for (const int threads : {1, 4}) {
+    for (const int grid_dim : {0, 4}) {
+      const std::vector<Pair> with_nan =
+          Sorted(RunPartition(r, s, threads, grid_dim).candidates);
+      EXPECT_EQ(with_nan, expected)
+          << threads << " threads, grid " << grid_dim;
+    }
+  }
+}
+
 TEST(NativeJoinTest, DuplicateHeavyInputMatchesSequential) {
   // Many objects sharing the exact same MBR: worst case for the sweep's
   // tie-breaking and for tile replication (every copy lands in the same
@@ -181,13 +431,21 @@ TEST(NativeJoinTest, DuplicateHeavyInputMatchesSequential) {
 
 TEST(NativeJoinTest, SelfJoinMatchesSequential) {
   JoinFixture fixture(500, 10, 27);
+  const std::vector<Pair> sequential = Sorted(
+      SequentialRTreeJoin(fixture.tree_r, fixture.tree_r).candidates);
   NativeJoinConfig config;
   config.num_threads = 4;
   const NativeJoinResult result =
       NativeRTreeJoin(fixture.tree_r, fixture.tree_r, config);
-  EXPECT_EQ(AsSet(result.candidates),
-            AsSet(SequentialRTreeJoin(fixture.tree_r, fixture.tree_r)
-                      .candidates));
+  EXPECT_EQ(AsSet(result.candidates), AsSet(sequential));
+  // The partition engine gets the same vector as both inputs: two tile
+  // buffers filled from one input.
+  const std::vector<RTreeEntry> entries = CollectLeafEntries(fixture.tree_r);
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(Sorted(RunPartition(entries, entries, threads).candidates),
+              sequential)
+        << threads << " threads";
+  }
 }
 
 TEST(NativeJoinTest, DeterministicModeIsBitIdenticalAcrossRuns) {
@@ -247,6 +505,21 @@ TEST(NativeJoinTest, CountersAreConsistent) {
   EXPECT_EQ(candidates, static_cast<int64_t>(result.candidates.size()));
   EXPECT_EQ(result.per_worker.size(), 4u);
   EXPECT_GE(result.wall_ms, 0.0);
+  for (const int threads : {1, 4, 8}) {
+    const NativeJoinResult partition = RunPartition(fixture, threads);
+    EXPECT_GT(partition.num_tasks, 0);
+    int64_t tiles = 0;
+    int64_t emitted = 0;
+    for (const auto& w : partition.per_worker) {
+      tiles += w.tasks_executed;
+      emitted += w.candidates;
+    }
+    // Every tile is claimed exactly once, by one worker.
+    EXPECT_EQ(tiles, partition.num_tasks) << threads << " threads";
+    EXPECT_EQ(emitted, static_cast<int64_t>(partition.candidates.size()))
+        << threads << " threads";
+    EXPECT_EQ(partition.per_worker.size(), static_cast<size_t>(threads));
+  }
 }
 
 TEST(NativeJoinTest, BusyTimeCountsSubMicrosecondTasks) {
