@@ -100,17 +100,11 @@ struct ParallelJoinConfig {
   /// Seed for the arbitrary victim policy.
   uint64_t seed = 7;
 
-  /// Execution substrate of the simulated processors (fiber vs OS thread).
-  /// Purely a wall-clock choice: every virtual-time statistic is
-  /// backend-invariant (the determinism suite asserts bit-identical
-  /// results).
-  sim::SchedulerBackend scheduler_backend = sim::SchedulerBackend::kDefault;
-
   /// Event sink recording the run's virtual-time timeline (spans, counters,
   /// histograms; see trace/trace_sink.h). Null — the default — disables
   /// tracing entirely: every instrumentation site reduces to one pointer
   /// test. The sink must outlive the run; like the statistics, recording is
-  /// backend-invariant and bit-reproducible.
+  /// bit-reproducible.
   trace::TraceSink* trace = nullptr;
 
   /// Tie-break policy for equal-resume-time dispatches. Unset — the

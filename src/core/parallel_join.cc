@@ -33,7 +33,7 @@ class JoinDriver {
         match_options_{config.use_search_space_restriction,
                        config.use_plane_sweep},
         num_levels_(std::max(tree_r.height(), tree_s.height())),
-        scheduler_(config.scheduler_backend, config.tiebreak),
+        scheduler_(config.tiebreak),
         disks_(config.num_disks, config.costs.disk),
         pool_(config.num_processors, num_levels_, config.costs,
               config.seed) {

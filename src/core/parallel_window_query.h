@@ -43,10 +43,6 @@ struct WindowQueryConfig {
 
   uint64_t seed = 7;
 
-  /// Execution substrate of the simulated processors; virtual-time results
-  /// are backend-invariant.
-  sim::SchedulerBackend scheduler_backend = sim::SchedulerBackend::kDefault;
-
   /// Tie-break policy for equal-resume-time dispatches (see
   /// ParallelJoinConfig::tiebreak). Unset reads PSJ_SIM_TIEBREAK.
   std::optional<sim::TieBreak> tiebreak;

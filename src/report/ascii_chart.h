@@ -20,7 +20,7 @@ struct AsciiChartOptions {
 ///
 /// Output is fully deterministic — fixed glyph assignment by series order,
 /// integer cell mapping, no locale-dependent formatting — so the Markdown
-/// report is byte-identical across backends and reruns.
+/// report is byte-identical across reruns.
 std::string RenderAsciiChart(const FigureDoc& doc, std::string_view metric,
                              const AsciiChartOptions& options = {});
 

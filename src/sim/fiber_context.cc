@@ -1,31 +1,29 @@
 #include "sim/fiber_context.h"
 
-#include <cstdlib>
+#include <cstddef>
+#include <cstdint>
 
 #include "util/check.h"
 
-// Backend selection. PSJ_HAS_FIBERS is defined by CMake except in TSan
-// builds (TSan has no fiber-switch API; ASan builds keep fibers via the
-// __sanitizer_*_switch_fiber annotations below).
-// On x86-64 we use a syscall-free assembly switch; other POSIX platforms use
-// <ucontext.h>, whose swapcontext also saves/restores the signal mask (two
-// sigprocmask syscalls per switch) but still avoids a scheduler roundtrip.
-#if defined(PSJ_HAS_FIBERS) && defined(__x86_64__) && defined(__linux__)
+// Implementation selection. On x86-64 Linux we use a syscall-free assembly
+// switch; other POSIX platforms use <ucontext.h>, whose swapcontext also
+// saves/restores the signal mask (two sigprocmask syscalls per switch) but
+// still avoids an OS-thread handoff.
+#if defined(__x86_64__) && defined(__linux__)
 #define PSJ_FIBER_IMPL_ASM_X86_64 1
-#elif defined(PSJ_HAS_FIBERS) && defined(__unix__)
-#define PSJ_FIBER_IMPL_UCONTEXT 1
-#endif
-
-#if defined(PSJ_FIBER_IMPL_UCONTEXT)
+#elif defined(__unix__)
 #include <ucontext.h>
+#else
+#error "FiberContext needs x86-64 Linux or a POSIX <ucontext.h>"
 #endif
 
-// AddressSanitizer needs to be told about stack switches so its fake-stack
-// bookkeeping and stack-use-after-return detection follow the fibers;
-// without the annotations every switch looks like a wild stack change. With
-// them the asan preset can keep the fiber backend (only TSan still forces
-// the thread backend — it has no equivalent fiber API for its happens-
-// before machinery).
+// Sanitizers must be told about stack switches. ASan's fake-stack
+// bookkeeping and stack-use-after-return detection follow the fibers only
+// through the __sanitizer_*_switch_fiber annotations; without them every
+// switch looks like a wild stack change. TSan keeps a shadow call stack and
+// a vector clock per fiber; switching with flag 0 makes each handoff a
+// happens-before edge between the two fibers, which is exactly the
+// scheduler's discipline (one runner at a time, in dispatch order).
 #if defined(__SANITIZE_ADDRESS__)
 #define PSJ_FIBER_ASAN 1
 #elif defined(__has_feature)
@@ -34,24 +32,28 @@
 #endif
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#define PSJ_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PSJ_FIBER_TSAN 1
+#endif
+#endif
+
 #if defined(PSJ_FIBER_ASAN)
 #include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(PSJ_FIBER_TSAN)
+#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace psj::sim {
 
 namespace {
 
-size_t StackSizeFromEnv() {
-  const char* env = std::getenv("PSJ_SIM_STACK_KB");
-  if (env != nullptr) {
-    const long kb = std::atol(env);
-    if (kb >= 64) {
-      return static_cast<size_t>(kb) * 1024;
-    }
-  }
-  return 256 * 1024;
-}
+/// Every fiber's stack: the one size the simulator runs and is tested with,
+/// under ASan and TSan included.
+constexpr size_t kStackSize = 256 * 1024;
 
 }  // namespace
 
@@ -100,10 +102,37 @@ void FiberAsanEndSwitch(FiberAsanState* self) {
 
 #endif  // PSJ_FIBER_ASAN
 
-size_t FiberContext::DefaultStackSize() {
-  static const size_t size = StackSizeFromEnv();
-  return size;
+struct FiberContext::Impl {
+  std::unique_ptr<char[]> stack;  // Owned stack; null for the main context.
+  void (*entry)(void*) = nullptr;
+  void* arg = nullptr;
+#if defined(PSJ_FIBER_IMPL_ASM_X86_64)
+  void* sp = nullptr;  // Saved stack pointer while suspended.
+#else
+  ucontext_t ctx;
+#endif
+#if defined(PSJ_FIBER_ASAN)
+  FiberAsanState asan;
+#endif
+#if defined(PSJ_FIBER_TSAN)
+  /// TSan's context for this fiber: created with an owned fiber, adopted
+  /// from the thread by the main context on its first switch-out.
+  void* tsan_fiber = nullptr;
+#endif
+};
+
+namespace {
+
+/// First code a fresh fiber runs, on its own stack.
+void RunEntry(FiberContext::Impl* impl) {
+#if defined(PSJ_FIBER_ASAN)
+  FiberAsanEndSwitch(nullptr);
+#endif
+  impl->entry(impl->arg);
+  PSJ_CHECK(false) << "fiber entry function returned";
 }
+
+}  // namespace
 
 #if defined(PSJ_FIBER_IMPL_ASM_X86_64)
 
@@ -155,83 +184,40 @@ psj_fiber_entry_thunk:
 .size psj_fiber_entry_thunk, .-psj_fiber_entry_thunk
 )");
 
-struct FiberContext::Impl {
-  void* sp = nullptr;            // Saved stack pointer while suspended.
-  std::unique_ptr<char[]> stack;  // Owned stack; null for the main context.
-  void (*entry)(void*) = nullptr;
-  void* arg = nullptr;
-#if defined(PSJ_FIBER_ASAN)
-  FiberAsanState asan;
-#endif
-};
-
-extern "C" void psj_fiber_run_entry(void* impl_erased) {
-  auto* impl = static_cast<FiberContext::Impl*>(impl_erased);
-#if defined(PSJ_FIBER_ASAN)
-  FiberAsanEndSwitch(nullptr);
-#endif
-  impl->entry(impl->arg);
-  PSJ_CHECK(false) << "fiber entry function returned";
+extern "C" void psj_fiber_run_entry(void* impl) {
+  RunEntry(static_cast<FiberContext::Impl*>(impl));
 }
 
-FiberContext::FiberContext() : impl_(new Impl) {}
+namespace {
 
-FiberContext::FiberContext(size_t stack_size, void (*entry)(void*), void* arg)
-    : impl_(new Impl) {
-  PSJ_CHECK_GE(stack_size, static_cast<size_t>(4096));
-  impl_->stack.reset(new char[stack_size]);
-  impl_->entry = entry;
-  impl_->arg = arg;
+void PrepareStack(FiberContext::Impl* impl) {
   // Bootstrap frame, mirroring what psj_fiber_swap expects to pop: six
   // callee-saved register slots (r15 lowest) topped by the return address
   // plus one padding slot. After the restore sequence pops the six
   // registers and `ret` consumes the return address, rsp % 16 == 8 — the
   // System V alignment at a function entry (as just after a call
   // instruction), which vector spills in the fiber body rely on.
-  uintptr_t top = reinterpret_cast<uintptr_t>(impl_->stack.get()) + stack_size;
+  uintptr_t top = reinterpret_cast<uintptr_t>(impl->stack.get()) + kStackSize;
   top &= ~static_cast<uintptr_t>(15);
   auto* frame = reinterpret_cast<void**>(top) - 8;
-  frame[0] = nullptr;      // r15
-  frame[1] = nullptr;      // r14
-  frame[2] = nullptr;      // r13
-  frame[3] = impl_.get();  // r12 — carries the Impl* to the thunk.
-  frame[4] = nullptr;      // rbx
-  frame[5] = nullptr;      // rbp
+  frame[0] = nullptr;  // r15
+  frame[1] = nullptr;  // r14
+  frame[2] = nullptr;  // r13
+  frame[3] = impl;     // r12 — carries the Impl* to the thunk.
+  frame[4] = nullptr;  // rbx
+  frame[5] = nullptr;  // rbp
   frame[6] = reinterpret_cast<void*>(&psj_fiber_entry_thunk);
-  frame[7] = nullptr;      // Padding: keeps the entry alignment correct.
-  impl_->sp = frame;
-#if defined(PSJ_FIBER_ASAN)
-  impl_->asan.stack_bottom = impl_->stack.get();
-  impl_->asan.stack_size = stack_size;
-#endif
+  frame[7] = nullptr;  // Padding: keeps the entry alignment correct.
+  impl->sp = frame;
 }
 
-FiberContext::~FiberContext() = default;
-
-void FiberContext::SwitchTo(FiberContext& to) {
-#if defined(PSJ_FIBER_ASAN)
-  FiberAsanBeginSwitch(&impl_->asan, &to.impl_->asan);
-#endif
-  psj_fiber_swap(&impl_->sp, to.impl_->sp);
-#if defined(PSJ_FIBER_ASAN)
-  // Somebody switched back to us: we are on this context's stack again.
-  FiberAsanEndSwitch(&impl_->asan);
-#endif
+void Swap(FiberContext::Impl* from, FiberContext::Impl* to) {
+  psj_fiber_swap(&from->sp, to->sp);
 }
 
-bool FiberContext::Supported() { return true; }
+}  // namespace
 
-#elif defined(PSJ_FIBER_IMPL_UCONTEXT)
-
-struct FiberContext::Impl {
-  ucontext_t ctx;
-  std::unique_ptr<char[]> stack;
-  void (*entry)(void*) = nullptr;
-  void* arg = nullptr;
-#if defined(PSJ_FIBER_ASAN)
-  FiberAsanState asan;
-#endif
-};
+#else  // <ucontext.h>
 
 namespace {
 
@@ -239,70 +225,69 @@ namespace {
 void UcontextTrampoline(unsigned hi, unsigned lo) {
   const uintptr_t bits =
       (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
-  auto* impl = reinterpret_cast<FiberContext::Impl*>(bits);
-#if defined(PSJ_FIBER_ASAN)
-  FiberAsanEndSwitch(nullptr);
-#endif
-  impl->entry(impl->arg);
-  PSJ_CHECK(false) << "fiber entry function returned";
+  RunEntry(reinterpret_cast<FiberContext::Impl*>(bits));
+}
+
+void PrepareStack(FiberContext::Impl* impl) {
+  PSJ_CHECK(getcontext(&impl->ctx) == 0);
+  impl->ctx.uc_stack.ss_sp = impl->stack.get();
+  impl->ctx.uc_stack.ss_size = kStackSize;
+  impl->ctx.uc_link = nullptr;
+  const uintptr_t bits = reinterpret_cast<uintptr_t>(impl);
+  makecontext(&impl->ctx, reinterpret_cast<void (*)()>(&UcontextTrampoline),
+              2, static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits & 0xffffffffu));
+}
+
+void Swap(FiberContext::Impl* from, FiberContext::Impl* to) {
+  PSJ_CHECK(swapcontext(&from->ctx, &to->ctx) == 0);
 }
 
 }  // namespace
 
+#endif
+
 FiberContext::FiberContext() : impl_(new Impl) {}
 
-FiberContext::FiberContext(size_t stack_size, void (*entry)(void*), void* arg)
+FiberContext::FiberContext(void (*entry)(void*), void* arg)
     : impl_(new Impl) {
-  impl_->stack.reset(new char[stack_size]);
+  impl_->stack.reset(new char[kStackSize]);
   impl_->entry = entry;
   impl_->arg = arg;
-  PSJ_CHECK(getcontext(&impl_->ctx) == 0);
-  impl_->ctx.uc_stack.ss_sp = impl_->stack.get();
-  impl_->ctx.uc_stack.ss_size = stack_size;
-  impl_->ctx.uc_link = nullptr;
-  const uintptr_t bits = reinterpret_cast<uintptr_t>(impl_.get());
-  makecontext(&impl_->ctx, reinterpret_cast<void (*)()>(&UcontextTrampoline),
-              2, static_cast<unsigned>(bits >> 32),
-              static_cast<unsigned>(bits & 0xffffffffu));
+  PrepareStack(impl_.get());
 #if defined(PSJ_FIBER_ASAN)
   impl_->asan.stack_bottom = impl_->stack.get();
-  impl_->asan.stack_size = stack_size;
+  impl_->asan.stack_size = kStackSize;
+#endif
+#if defined(PSJ_FIBER_TSAN)
+  impl_->tsan_fiber = __tsan_create_fiber(0);
 #endif
 }
 
-FiberContext::~FiberContext() = default;
+FiberContext::~FiberContext() {
+#if defined(PSJ_FIBER_TSAN)
+  // Owned fibers only: the main context's TSan fiber is the thread's own.
+  if (impl_->stack != nullptr) {
+    __tsan_destroy_fiber(impl_->tsan_fiber);
+  }
+#endif
+}
 
 void FiberContext::SwitchTo(FiberContext& to) {
 #if defined(PSJ_FIBER_ASAN)
   FiberAsanBeginSwitch(&impl_->asan, &to.impl_->asan);
 #endif
-  PSJ_CHECK(swapcontext(&impl_->ctx, &to.impl_->ctx) == 0);
+#if defined(PSJ_FIBER_TSAN)
+  if (impl_->tsan_fiber == nullptr) {
+    impl_->tsan_fiber = __tsan_get_current_fiber();
+  }
+  __tsan_switch_to_fiber(to.impl_->tsan_fiber, 0);
+#endif
+  Swap(impl_.get(), to.impl_.get());
 #if defined(PSJ_FIBER_ASAN)
+  // Somebody switched back to us: we are on this context's stack again.
   FiberAsanEndSwitch(&impl_->asan);
 #endif
 }
-
-bool FiberContext::Supported() { return true; }
-
-#else  // No fiber implementation in this build.
-
-struct FiberContext::Impl {};
-
-FiberContext::FiberContext() = default;
-
-FiberContext::FiberContext(size_t, void (*)(void*), void*) {
-  PSJ_CHECK(false) << "fiber backend not available in this build "
-                      "(sanitizers or unsupported platform)";
-}
-
-FiberContext::~FiberContext() = default;
-
-void FiberContext::SwitchTo(FiberContext&) {
-  PSJ_CHECK(false) << "fiber backend not available in this build";
-}
-
-bool FiberContext::Supported() { return false; }
-
-#endif
 
 }  // namespace psj::sim

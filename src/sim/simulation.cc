@@ -1,9 +1,10 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 namespace psj::sim {
 
@@ -38,12 +39,24 @@ std::string_view StateName(Process::State state) {
 
 TieBreak TieBreak::FromEnv() {
   const char* env = std::getenv("PSJ_SIM_TIEBREAK");
-  if (env == nullptr || std::strcmp(env, "id") == 0) {
+  if (env == nullptr) {
     return Id();
   }
-  constexpr char kSeededPrefix[] = "seeded:";
-  if (std::strncmp(env, kSeededPrefix, sizeof(kSeededPrefix) - 1) == 0) {
-    return Seeded(std::strtoull(env + sizeof(kSeededPrefix) - 1, nullptr, 10));
+  const std::string_view spec(env);
+  if (spec == "id") {
+    return Id();
+  }
+  constexpr std::string_view kSeededPrefix = "seeded:";
+  if (spec.starts_with(kSeededPrefix)) {
+    // from_chars accepts digits only: no sign, no space, and an out-of-range
+    // value is an error rather than a wrap.
+    const std::string_view digits = spec.substr(kSeededPrefix.size());
+    uint64_t seed = 0;
+    const auto [end, error] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), seed);
+    if (error == std::errc() && end == digits.data() + digits.size()) {
+      return Seeded(seed);
+    }
   }
   static bool warned = [env] {
     std::fprintf(stderr,
@@ -56,54 +69,16 @@ TieBreak TieBreak::FromEnv() {
   return Id();
 }
 
-std::string_view ToString(SchedulerBackend backend) {
-  switch (backend) {
-    case SchedulerBackend::kDefault:
-      return "default";
-    case SchedulerBackend::kThread:
-      return "thread";
-    case SchedulerBackend::kFiber:
-      return "fiber";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Process
 // ---------------------------------------------------------------------------
 
 Process::Process(Scheduler* scheduler, int id,
                  std::function<void(Process&)> body)
-    : scheduler_(scheduler), id_(id), body_(std::move(body)) {
-  if (scheduler_->backend_ == SchedulerBackend::kFiber) {
-    fiber_ = std::make_unique<FiberContext>(FiberContext::DefaultStackSize(),
-                                            &Process::FiberEntry, this);
-  } else {
-    thread_ = std::thread([this] { ThreadMain(); });
-  }
-}
-
-void Process::ThreadMain() {
-  {
-    // Wait for the scheduler to select this process for the first time.
-    util::MutexLock lock(&scheduler_->mu_);
-    while (state_ != State::kRunning) {
-      cv_.Wait(scheduler_->mu_);
-    }
-    now_ = resume_time_;
-  }
-  body_(*this);
-  if (scheduler_->trace_ != nullptr) {
-    scheduler_->trace_->Instant(id_, trace::Category::kProcess, "finish",
-                                now_);
-  }
-  {
-    util::MutexLock lock(&scheduler_->mu_);
-    state_ = State::kFinished;
-    --scheduler_->num_live_;
-    scheduler_->EnterScheduler();
-  }
-}
+    : scheduler_(scheduler),
+      id_(id),
+      body_(std::move(body)),
+      fiber_(&Process::FiberEntry, this) {}
 
 void Process::FiberEntry(void* self) {
   static_cast<Process*>(self)->FiberBody();
@@ -120,7 +95,7 @@ void Process::FiberBody() {
   }
   state_ = State::kFinished;
   --scheduler_->num_live_;
-  scheduler_->FiberDispatchFrom(this);
+  scheduler_->DispatchFrom(this);
   PSJ_CHECK(false) << "finished process " << id_ << " was dispatched again";
 }
 
@@ -128,15 +103,6 @@ void Process::YieldUntil(SimTime t) {
   PSJ_CHECK(state_ == State::kRunning)
       << "sim primitive called outside the running process";
   t = std::max(now_, t);
-  if (scheduler_->backend_ == SchedulerBackend::kFiber) {
-    YieldUntilFiber(t);
-  } else {
-    YieldUntilThread(t);
-  }
-}
-
-void Process::YieldUntilThread(SimTime t) {
-  util::MutexLock lock(&scheduler_->mu_);
   if (scheduler_->FastPathYield(this, t)) {
     now_ = t;
     return;
@@ -144,61 +110,20 @@ void Process::YieldUntilThread(SimTime t) {
   resume_time_ = t;
   state_ = State::kReady;
   scheduler_->PushReady(this);
-  scheduler_->EnterScheduler();
-  while (state_ != State::kRunning) {
-    cv_.Wait(scheduler_->mu_);
-  }
-  now_ = resume_time_;
-}
-
-void Process::YieldUntilFiber(SimTime t) {
-  if (scheduler_->FastPathYield(this, t)) {
-    now_ = t;
-    return;
-  }
-  resume_time_ = t;
-  state_ = State::kReady;
-  scheduler_->PushReady(this);
-  scheduler_->FiberDispatchFrom(this);
+  scheduler_->DispatchFrom(this);
   now_ = resume_time_;
 }
 
 SimTime Process::Block() {
   PSJ_CHECK(state_ == State::kRunning)
       << "sim primitive called outside the running process";
-  return scheduler_->backend_ == SchedulerBackend::kFiber ? BlockFiber()
-                                                          : BlockThread();
-}
-
-SimTime Process::BlockThread() {
-  util::MutexLock lock(&scheduler_->mu_);
   state_ = State::kBlocked;
-  scheduler_->EnterScheduler();
-  while (state_ != State::kRunning) {
-    cv_.Wait(scheduler_->mu_);
-  }
-  now_ = resume_time_;
-  return now_;
-}
-
-SimTime Process::BlockFiber() {
-  state_ = State::kBlocked;
-  scheduler_->FiberDispatchFrom(this);
+  scheduler_->DispatchFrom(this);
   now_ = resume_time_;
   return now_;
 }
 
 bool Process::MakeReadyIfBlocked(SimTime t) {
-  return scheduler_->backend_ == SchedulerBackend::kFiber
-             ? MakeReadyIfBlockedFiber(t)
-             : MakeReadyIfBlockedThread(t);
-}
-
-bool Process::MakeReadyIfBlockedThread(SimTime t) {
-  // Although only the single running process mutates scheduler state, the
-  // blocked target thread re-evaluates its condition-variable predicate
-  // under the scheduler mutex, so the state transition must hold it too.
-  util::MutexLock lock(&scheduler_->mu_);
   if (state_ != State::kBlocked) {
     return false;
   }
@@ -207,68 +132,15 @@ bool Process::MakeReadyIfBlockedThread(SimTime t) {
   scheduler_->PushReady(this);
   return true;
 }
-
-bool Process::MakeReadyIfBlockedFiber(SimTime t) {
-  if (state_ != State::kBlocked) {
-    return false;
-  }
-  state_ = State::kReady;
-  resume_time_ = std::max(now_, t);
-  scheduler_->PushReady(this);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler — backend-independent ready-heap core
-// ---------------------------------------------------------------------------
 
 int64_t Process::dispatch_epoch() const { return scheduler_->num_dispatches_; }
 
-Scheduler::Scheduler(SchedulerBackend backend, std::optional<TieBreak> tiebreak)
-    : backend_(ResolveBackend(backend)),
-      tiebreak_(tiebreak.has_value() ? *tiebreak : TieBreak::FromEnv()) {}
+// ---------------------------------------------------------------------------
+// Scheduler
+// ---------------------------------------------------------------------------
 
-Scheduler::~Scheduler() {
-  for (auto& process : processes_) {
-    if (process->thread_.joinable()) {
-      process->thread_.join();
-    }
-  }
-}
-
-SchedulerBackend Scheduler::ResolveBackend(SchedulerBackend requested) {
-  if (requested == SchedulerBackend::kThread) {
-    return requested;
-  }
-  if (requested == SchedulerBackend::kFiber) {
-    PSJ_CHECK(FiberContext::Supported())
-        << "fiber scheduler backend requested but not available in this "
-           "build (sanitizers disable it; set PSJ_ENABLE_FIBERS=ON)";
-    return requested;
-  }
-  const char* env = std::getenv("PSJ_SIM_BACKEND");
-  if (env != nullptr) {
-    if (std::strcmp(env, "thread") == 0) {
-      return SchedulerBackend::kThread;
-    }
-    if (std::strcmp(env, "fiber") == 0) {
-      if (FiberContext::Supported()) {
-        return SchedulerBackend::kFiber;
-      }
-      static bool warned = [] {
-        std::fprintf(stderr,
-                     "[sim] PSJ_SIM_BACKEND=fiber but this build has no "
-                     "fiber support; using the thread backend\n");
-        return true;
-      }();
-      (void)warned;
-      return SchedulerBackend::kThread;
-    }
-    std::fprintf(stderr, "[sim] ignoring unknown PSJ_SIM_BACKEND=%s\n", env);
-  }
-  return FiberContext::Supported() ? SchedulerBackend::kFiber
-                                   : SchedulerBackend::kThread;
-}
+Scheduler::Scheduler(std::optional<TieBreak> tiebreak)
+    : tiebreak_(tiebreak.has_value() ? *tiebreak : TieBreak::FromEnv()) {}
 
 namespace {
 
@@ -323,7 +195,6 @@ Process* Scheduler::TakeNextReady() {
       << "scheduler dispatched process " << next->id_ << " in state "
       << StateName(next->state_);
   next->state_ = Process::State::kRunning;
-  running_ = next;
   ++num_dispatches_;
   return next;
 }
@@ -347,48 +218,33 @@ std::string Scheduler::DescribeLiveProcesses() const {
   return out;
 }
 
-void Scheduler::RegisterSpawned(Process* p, uint64_t tiebreak_key) {
-  p->state_ = Process::State::kReady;
-  p->resume_time_ = 0;
-  p->tiebreak_key_ = tiebreak_key;
-  PushReady(p);
-  ++num_live_;
-}
-
 Process* Scheduler::Spawn(std::function<void(Process&)> body) {
   PSJ_CHECK(!started_) << "Spawn() after Run() is not supported";
   const int id = static_cast<int>(processes_.size());
   processes_.push_back(
       std::unique_ptr<Process>(new Process(this, id, std::move(body))));
   Process* p = processes_.back().get();
-  const uint64_t key = tiebreak_.seeded
-                           ? Mix64(tiebreak_.seed ^
-                                   (static_cast<uint64_t>(id) + 1))
-                           : static_cast<uint64_t>(id);
-  if (backend_ == SchedulerBackend::kThread) {
-    // The freshly started process thread reads state_ under the scheduler
-    // mutex, so registration must hold it.
-    util::MutexLock lock(&mu_);
-    RegisterSpawned(p, key);
-  } else {
-    RegisterSpawnedFiber(p, key);
-  }
+  p->state_ = Process::State::kReady;
+  p->tiebreak_key_ = tiebreak_.seeded
+                         ? Mix64(tiebreak_.seed ^
+                                 (static_cast<uint64_t>(id) + 1))
+                         : static_cast<uint64_t>(id);
+  PushReady(p);
+  ++num_live_;
   return p;
-}
-
-void Scheduler::RegisterSpawnedFiber(Process* p, uint64_t tiebreak_key) {
-  // Fiber backend: no process runs until Run(), and all fibers share this
-  // OS thread — registration is single-threaded by construction.
-  RegisterSpawned(p, tiebreak_key);
 }
 
 void Scheduler::Run() {
   PSJ_CHECK(!started_) << "Run() may only be called once";
   started_ = true;
-  if (backend_ == SchedulerBackend::kFiber) {
-    RunFiberBackend();
-  } else {
-    RunThreadBackend();
+  while (num_live_ > 0) {
+    PSJ_CHECK(!ready_heap_.empty())
+        << "simulation deadlock: live processes exist but none is ready\n"
+        << DescribeLiveProcesses();
+    Process* next = TakeNextReady();
+    main_context_.SwitchTo(next->fiber_);
+    // A fiber switched back: either everything finished or nothing is
+    // ready (completion or deadlock) — the loop re-checks.
   }
   end_time_ = 0;
   for (auto& process : processes_) {
@@ -396,62 +252,14 @@ void Scheduler::Run() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Thread backend
-// ---------------------------------------------------------------------------
-
-void Scheduler::EnterScheduler() {
-  running_ = nullptr;
-  cv_.NotifyOne();  // Only the scheduler loop waits on this variable. The
-                    // caller keeps holding mu_; the scheduler loop observes
-                    // running_ == nullptr under it.
-}
-
-void Scheduler::RunThreadBackend() {
-  util::MutexLock lock(&mu_);
-  for (;;) {
-    if (num_live_ == 0) {
-      break;  // All processes finished.
-    }
-    PSJ_CHECK(!ready_heap_.empty())
-        << "simulation deadlock: live processes exist but none is ready\n"
-        << DescribeLiveProcesses();
-    Process* next = TakeNextReady();
-    next->cv_.NotifyOne();
-    while (running_ != nullptr) {
-      cv_.Wait(mu_);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fiber backend
-// ---------------------------------------------------------------------------
-
-void Scheduler::RunFiberBackend() {
-  for (;;) {
-    if (num_live_ == 0) {
-      break;  // All processes finished.
-    }
-    PSJ_CHECK(!ready_heap_.empty())
-        << "simulation deadlock: live processes exist but none is ready\n"
-        << DescribeLiveProcesses();
-    Process* next = TakeNextReady();
-    main_context_.SwitchTo(*next->fiber_);
-    // A fiber switched back: either everything finished or nothing is
-    // ready (completion or deadlock) — the loop re-checks.
-  }
-}
-
-void Scheduler::FiberDispatchFrom(Process* self) {
+void Scheduler::DispatchFrom(Process* self) {
   if (ready_heap_.empty()) {
     // Nothing to hand off to: return to Run()'s context, which either
     // terminates (no live processes) or reports the deadlock.
-    running_ = nullptr;
-    self->fiber_->SwitchTo(main_context_);
+    self->fiber_.SwitchTo(main_context_);
   } else {
     Process* next = TakeNextReady();
-    self->fiber_->SwitchTo(*next->fiber_);
+    self->fiber_.SwitchTo(next->fiber_);
   }
   // Resumed: whoever dispatched us already marked this process running.
 }

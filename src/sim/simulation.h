@@ -1,22 +1,19 @@
 #ifndef PSJ_SIM_SIMULATION_H_
 #define PSJ_SIM_SIMULATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "check/access_registry.h"
 #include "sim/fiber_context.h"
 #include "trace/trace_sink.h"
 #include "util/check.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace psj::sim {
 
@@ -30,24 +27,6 @@ constexpr SimTime kMillisecond = 1000;
 constexpr SimTime kSecond = 1'000'000;
 
 class Scheduler;
-
-/// Execution substrate of the simulated processors. Virtual-time semantics
-/// are identical across backends (the dispatch order is a pure function of
-/// the (resume_time, id) ready heap); only the wall-clock cost of a handoff
-/// differs.
-enum class SchedulerBackend {
-  /// Resolve via PSJ_SIM_BACKEND ("fiber"/"thread"), else prefer fibers
-  /// when the build carries them.
-  kDefault,
-  /// One OS thread per process, mutex + condition-variable handoffs. Slow
-  /// (two kernel context switches per yield) but visible to ASan/TSan.
-  kThread,
-  /// Stackful user-mode fibers, direct user-space handoffs. Requires a
-  /// build with PSJ_ENABLE_FIBERS (off under sanitizers).
-  kFiber,
-};
-
-std::string_view ToString(SchedulerBackend backend);
 
 /// \brief Tie-break rule applied when several processes are ready at the
 /// same virtual time.
@@ -69,8 +48,10 @@ struct TieBreak {
   static TieBreak Id() { return TieBreak{}; }
   /// Seeded pseudo-random permutation of equal-time dispatch order.
   static TieBreak Seeded(uint64_t seed) { return TieBreak{true, seed}; }
-  /// Resolves PSJ_SIM_TIEBREAK: unset or "id" → Id(), "seeded:<n>" →
-  /// Seeded(n). Unknown values warn once and fall back to Id().
+  /// Resolves PSJ_SIM_TIEBREAK: unset or "id" → Id(), "seeded:<n>" with
+  /// <n> one or more decimal digits (no sign, nothing after them, at most
+  /// 2^64 − 1) → Seeded(n). Anything else warns once and falls back to
+  /// Id().
   static TieBreak FromEnv();
 
   friend bool operator==(const TieBreak&, const TieBreak&) = default;
@@ -161,27 +142,11 @@ class Process {
 
   /// Parks this process with resume time `t` and hands control to the next
   /// ready process (or the scheduler); returns when selected again, with
-  /// now_ == resume_time_. Dispatches to the backend-specific variant.
+  /// now_ == resume_time_.
   void YieldUntil(SimTime t);
 
-  /// Thread-backend variants: every scheduler-state access happens under the
-  /// scheduler mutex and is checked by the thread-safety analysis.
-  void YieldUntilThread(SimTime t);
-  SimTime BlockThread();
-  bool MakeReadyIfBlockedThread(SimTime t);
-
-  /// Fiber-backend variants. Analysis is off: every process and the
-  /// scheduler loop share ONE OS thread (cooperative stackful fibers), so
-  /// the scheduler state is single-threaded by construction — a regime the
-  /// static lock analysis cannot express. The thread backend runs the same
-  /// dispatch decisions under full checking, and TSan CI exercises it.
-  void YieldUntilFiber(SimTime t) PSJ_NO_THREAD_SAFETY_ANALYSIS;
-  SimTime BlockFiber() PSJ_NO_THREAD_SAFETY_ANALYSIS;
-  bool MakeReadyIfBlockedFiber(SimTime t) PSJ_NO_THREAD_SAFETY_ANALYSIS;
-
-  void ThreadMain();
-  /// Single OS thread by construction; see the fiber variants above.
-  void FiberBody() PSJ_NO_THREAD_SAFETY_ANALYSIS;
+  /// Runs the body on the process's fiber, from its first dispatch on.
+  void FiberBody();
   static void FiberEntry(void* self);
 
   Scheduler* const scheduler_;
@@ -193,16 +158,7 @@ class Process {
   /// Orders this process among equal-resume_time peers: the id under the
   /// default tie-break, a seeded hash of it under TieBreak::Seeded.
   uint64_t tiebreak_key_ = 0;
-
-  // --- Thread backend only ---
-  // Per-process wakeup channel (paired with the scheduler's mutex): the
-  // scheduler signals exactly the process it selected, avoiding a
-  // thundering herd on every handoff.
-  util::CondVar cv_;
-  std::thread thread_;
-
-  // --- Fiber backend only ---
-  std::unique_ptr<FiberContext> fiber_;
+  FiberContext fiber_;
 };
 
 /// \brief Deterministic discrete-event scheduler.
@@ -214,16 +170,14 @@ class Process {
 ///
 /// Dispatch is O(log P): ready processes live in a binary min-heap keyed by
 /// (resume_time, id); finished processes never enter it and are therefore
-/// never re-examined. Two execution backends are available (see
-/// SchedulerBackend); both make the exact same sequence of dispatch
-/// decisions, so every virtual-time observable is backend-invariant.
+/// never re-examined. Every process is a fiber (FiberContext) on the thread
+/// that calls Run(), and a handoff switches straight from one fiber to the
+/// next, so all scheduler state is single-threaded by construction.
 class Scheduler {
  public:
   /// `tiebreak` std::nullopt resolves against PSJ_SIM_TIEBREAK (see
   /// TieBreak::FromEnv); an explicit value is used as given.
-  explicit Scheduler(SchedulerBackend backend = SchedulerBackend::kDefault,
-                     std::optional<TieBreak> tiebreak = std::nullopt);
-  ~Scheduler();
+  explicit Scheduler(std::optional<TieBreak> tiebreak = std::nullopt);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -243,15 +197,8 @@ class Scheduler {
   int num_processes() const { return static_cast<int>(processes_.size()); }
   Process* process(int id) { return processes_[static_cast<size_t>(id)].get(); }
 
-  /// The backend actually executing (never kDefault).
-  SchedulerBackend backend() const { return backend_; }
-
   /// The tie-break rule dispatch decisions follow.
   const TieBreak& tiebreak() const { return tiebreak_; }
-
-  /// Resolves kDefault against PSJ_SIM_BACKEND and build support; explicit
-  /// requests are returned unchanged (kFiber aborts when unsupported).
-  static SchedulerBackend ResolveBackend(SchedulerBackend requested);
 
   // --- Introspection for tests and microbenchmarks ---
 
@@ -270,57 +217,27 @@ class Scheduler {
  private:
   friend class Process;
 
-  // ---- Backend-independent ready-heap core ----
-  //
-  // Under the thread backend the callers below hold mu_ (checked); the
-  // fiber backend calls them from PSJ_NO_THREAD_SAFETY_ANALYSIS contexts,
-  // where the single-OS-thread regime makes the lock unnecessary.
-
   /// True (and counts the yield) when `p` may simply continue running
   /// because no ready process precedes (t, p->id). Never true for t in the
   /// past relative to the heap top.
-  bool FastPathYield(const Process* p, SimTime t) PSJ_REQUIRES(mu_);
-  void PushReady(Process* p) PSJ_REQUIRES(mu_);
+  bool FastPathYield(const Process* p, SimTime t);
+  void PushReady(Process* p);
   /// Pops the minimal ready process and marks it running.
-  Process* TakeNextReady() PSJ_REQUIRES(mu_);
+  Process* TakeNextReady();
   /// Multi-line listing of every live process (deadlock diagnostic).
-  std::string DescribeLiveProcesses() const PSJ_REQUIRES(mu_);
-  /// Marks a freshly spawned process ready and enqueues it.
-  void RegisterSpawned(Process* p, uint64_t tiebreak_key) PSJ_REQUIRES(mu_);
-  /// Fiber-backend registration: single OS thread, no lock (see above).
-  void RegisterSpawnedFiber(Process* p, uint64_t tiebreak_key)
-      PSJ_NO_THREAD_SAFETY_ANALYSIS;
-
-  // ---- Thread backend ----
-
-  void RunThreadBackend() PSJ_EXCLUDES(mu_);
-  // Transfers control from the running process back to the scheduler loop.
-  // Called by Process::YieldUntilThread / BlockThread / ThreadMain with the
-  // process state already updated; the caller keeps holding mu_ and then
-  // waits on its per-process condition variable.
-  void EnterScheduler() PSJ_REQUIRES(mu_);
-
-  // ---- Fiber backend (one OS thread; see Process's fiber variants) ----
-
-  void RunFiberBackend() PSJ_NO_THREAD_SAFETY_ANALYSIS;
+  std::string DescribeLiveProcesses() const;
   /// Hands control from `self` (already parked: re-queued, blocked, or
   /// finished) to the next ready fiber, or back to Run()'s context when
   /// the heap is empty. Returns when `self` is dispatched again.
-  void FiberDispatchFrom(Process* self) PSJ_NO_THREAD_SAFETY_ANALYSIS;
+  void DispatchFrom(Process* self);
 
-  const SchedulerBackend backend_;
   const TieBreak tiebreak_;
-  /// Thread backend: handoff synchronization. The fiber backend never locks
-  /// it — all fiber code shares one OS thread (see the PSJ_NO_* escapes).
-  util::Mutex mu_;
-  util::CondVar cv_;  // Scheduler loop's wakeup; paired with mu_.
   std::vector<std::unique_ptr<Process>> processes_;
   /// Binary min-heap on (resume_time, id); contains exactly the kReady
   /// processes.
-  std::vector<Process*> ready_heap_ PSJ_GUARDED_BY(mu_);
-  Process* running_ PSJ_GUARDED_BY(mu_) = nullptr;
-  FiberContext main_context_;  // Fiber backend: Run()'s own context.
-  int num_live_ PSJ_GUARDED_BY(mu_) = 0;
+  std::vector<Process*> ready_heap_;
+  FiberContext main_context_;  // Run()'s own context.
+  int num_live_ = 0;
   bool started_ = false;
   SimTime end_time_ = 0;
   int64_t num_dispatches_ = 0;

@@ -111,8 +111,8 @@ class Histogram {
 /// named counter registry, and named fixed-bucket histograms.
 ///
 /// Not thread safe by design: one sink belongs to exactly one simulation,
-/// whose scheduler runs one process at a time (handoffs establish
-/// happens-before on the thread backend), so recording needs no locks.
+/// whose scheduler runs one process at a time on one thread's fibers, so
+/// recording needs no locks.
 /// Instrumentation sites hold a `TraceSink*` that is null by default; the
 /// disabled path is a single pointer test with no allocation and no
 /// side effects.

@@ -2,18 +2,18 @@
 //
 // The simulation must produce bit-identical JoinResults — stats and the
 // full candidate/answer pair lists — across (a) repeated runs, (b) the
-// thread and fiber scheduler backends, and (c) sequential versus parallel
+// pinned trace export of a probe run, and (c) sequential versus parallel
 // execution of a sweep on the experiment driver. This is the contract that
 // lets the wall-clock optimizations (user-mode fibers, O(log P) dispatch,
 // concurrent sweeps) claim they change no virtual-time result.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
-#include "sim/fiber_context.h"
-#include "sim/simulation.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace_sink.h"
 
@@ -32,14 +32,13 @@ const PaperWorkload& TinyWorkload() {
 // A moderately contended configuration: several processors sharing fewer
 // disks, reassignment on, pair collection on so equality covers the full
 // join output, not just aggregate counters.
-ParallelJoinConfig ProbeConfig(sim::SchedulerBackend backend) {
+ParallelJoinConfig ProbeConfig() {
   ParallelJoinConfig config = ParallelJoinConfig::Gd();
   config.num_processors = 4;
   config.num_disks = 2;
   config.total_buffer_pages = 160;
   config.reassignment = ReassignmentLevel::kAllLevels;
   config.collect_pairs = true;
-  config.scheduler_backend = backend;
   return config;
 }
 
@@ -49,58 +48,41 @@ JoinResult RunOnce(const ParallelJoinConfig& config) {
   return std::move(result).value();
 }
 
+// 64-bit FNV-1a over the bytes of `text`.
+uint64_t Fnv1a64(std::string_view text) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 TEST(SimDeterminismTest, RepeatedRunsAreBitIdentical) {
-  const ParallelJoinConfig config =
-      ProbeConfig(sim::SchedulerBackend::kThread);
+  const ParallelJoinConfig config = ProbeConfig();
   const JoinResult first = RunOnce(config);
   EXPECT_GT(first.stats.total_candidates, 0);
   EXPECT_FALSE(first.candidate_pairs.empty());
   EXPECT_EQ(first, RunOnce(config));
 }
 
-TEST(SimDeterminismTest, FiberAndThreadBackendsAgreeBitIdentically) {
-  if (!sim::FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
-  const JoinResult threaded =
-      RunOnce(ProbeConfig(sim::SchedulerBackend::kThread));
-  const JoinResult fibered =
-      RunOnce(ProbeConfig(sim::SchedulerBackend::kFiber));
-  EXPECT_GT(threaded.stats.total_candidates, 0);
-  EXPECT_EQ(threaded, fibered);
-}
-
 // Tracing inherits the determinism contract: the recorded event stream is a
-// pure function of the virtual-time schedule, so the exported Chrome trace
-// is byte-identical across backends — and recording must not perturb the
-// join result itself.
-TEST(SimDeterminismTest, TraceExportIsByteIdenticalAcrossBackends) {
-  if (!sim::FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
-  const auto traced_run = [](sim::SchedulerBackend backend,
-                             std::string* exported) {
-    trace::TraceSink sink;
-    ParallelJoinConfig config = ProbeConfig(backend);
-    config.trace = &sink;
-    const JoinResult result = RunOnce(config);
-    *exported = trace::ExportChromeTrace(sink);
-    return result;
-  };
-  std::string threaded_json;
-  std::string fibered_json;
-  const JoinResult threaded =
-      traced_run(sim::SchedulerBackend::kThread, &threaded_json);
-  const JoinResult fibered =
-      traced_run(sim::SchedulerBackend::kFiber, &fibered_json);
-  EXPECT_EQ(threaded, fibered);
-  EXPECT_FALSE(threaded_json.empty());
-  EXPECT_EQ(threaded_json, fibered_json);
+// pure function of the virtual-time schedule, so the probe's exported
+// Chrome trace is pinned to its size and fingerprint (an independent
+// OS-thread scheduler exported the same bytes) — and recording must not
+// perturb the join result itself.
+TEST(SimDeterminismTest, TraceExportMatchesPinnedFingerprint) {
+  trace::TraceSink sink;
+  ParallelJoinConfig config = ProbeConfig();
+  config.trace = &sink;
+  const JoinResult traced = RunOnce(config);
+  const std::string exported = trace::ExportChromeTrace(sink);
+  EXPECT_EQ(exported.size(), 250'651u);
+  EXPECT_EQ(Fnv1a64(exported), 0x96303edde1092a7dULL);
 
   // Recording events must not change the virtual-time outcome.
-  const JoinResult untraced =
-      RunOnce(ProbeConfig(sim::SchedulerBackend::kThread));
-  EXPECT_EQ(untraced, threaded);
+  EXPECT_GT(traced.stats.total_candidates, 0);
+  EXPECT_EQ(RunOnce(ProbeConfig()), traced);
 }
 
 TEST(SimDeterminismTest, ParallelDriverMatchesSequentialBitIdentically) {
@@ -109,8 +91,7 @@ TEST(SimDeterminismTest, ParallelDriverMatchesSequentialBitIdentically) {
   // pairwise and arrive in input order either way.
   std::vector<ParallelJoinConfig> configs;
   for (int n : {1, 2, 4, 6}) {
-    ParallelJoinConfig config =
-        ProbeConfig(sim::SchedulerBackend::kDefault);
+    ParallelJoinConfig config = ProbeConfig();
     config.num_processors = n;
     config.num_disks = (n + 1) / 2;
     config.total_buffer_pages = static_cast<size_t>(40) *

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/fiber_context.h"
 #include "sim/simulation.h"
 
 namespace psj::sim {
@@ -342,68 +341,10 @@ TEST(SchedulerDeathTest, DeadlockDiagnosticListsLiveProcesses) {
       "process 0: state=blocked now=25 resume_time=25");
 }
 
-// ---------------------------------------------------------------------------
-// Backend coverage: the same virtual-time behavior must hold on the thread
-// backend and (when the build provides it) the fiber backend.
-
-std::vector<SchedulerBackend> AvailableBackends() {
-  std::vector<SchedulerBackend> backends{SchedulerBackend::kThread};
-  if (FiberContext::Supported()) {
-    backends.push_back(SchedulerBackend::kFiber);
-  }
-  return backends;
-}
-
-class SchedulerBackendTest
-    : public ::testing::TestWithParam<SchedulerBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SchedulerBackendTest,
-    ::testing::ValuesIn(AvailableBackends()),
-    [](const ::testing::TestParamInfo<SchedulerBackend>& info) {
-      return std::string(ToString(info.param));
-    });
-
-TEST_P(SchedulerBackendTest, InterleavesInVirtualTimeOrder) {
-  Scheduler sched(GetParam());
-  std::vector<std::string> trace;
-  sched.Spawn([&](Process& p) {
-    trace.push_back("a@" + std::to_string(p.now()));
-    p.WaitUntil(100);
-    trace.push_back("a@" + std::to_string(p.now()));
-    p.WaitUntil(300);
-    trace.push_back("a@" + std::to_string(p.now()));
-  });
-  sched.Spawn([&](Process& p) {
-    trace.push_back("b@" + std::to_string(p.now()));
-    p.WaitUntil(200);
-    trace.push_back("b@" + std::to_string(p.now()));
-  });
-  sched.Run();
-  EXPECT_EQ(trace, (std::vector<std::string>{"a@0", "b@0", "a@100", "b@200",
-                                             "a@300"}));
-  EXPECT_EQ(sched.end_time(), 300);
-}
-
-TEST_P(SchedulerBackendTest, ResourceFifoInVirtualTime) {
-  Scheduler sched(GetParam());
-  Resource disk("disk");
-  std::vector<SimTime> completions(3);
-  for (int i = 0; i < 3; ++i) {
-    sched.Spawn([&, i](Process& p) {
-      disk.Use(p, 100);
-      completions[static_cast<size_t>(i)] = p.now();
-    });
-  }
-  sched.Run();
-  EXPECT_EQ(completions, (std::vector<SimTime>{100, 200, 300}));
-  EXPECT_EQ(disk.queue_wait_time(), 0 + 100 + 200);
-}
-
-TEST_P(SchedulerBackendTest, SyncFastPathSkipsHandoff) {
+TEST(SchedulerTest, SyncFastPathSkipsHandoff) {
   // A lone process that repeatedly syncs already holds the minimal clock:
   // every yield takes the fast path and the scheduler dispatches only once.
-  Scheduler sched(GetParam());
+  Scheduler sched;
   sched.Spawn([&](Process& p) {
     for (int k = 0; k < 100; ++k) {
       p.Advance(5);
@@ -416,12 +357,12 @@ TEST_P(SchedulerBackendTest, SyncFastPathSkipsHandoff) {
   EXPECT_EQ(sched.end_time(), 500);
 }
 
-TEST_P(SchedulerBackendTest, FinishedProcessesAreNeverRedispatched) {
+TEST(SchedulerTest, FinishedProcessesAreNeverRedispatched) {
   // Three processes interleave through four real handoffs each and then
   // finish. Every dispatch is accounted for: one initial dispatch per
   // process plus one per non-fast-path yield. Any re-examination of a
   // finished process would both inflate this count and re-enter a body.
-  Scheduler sched(GetParam());
+  Scheduler sched;
   constexpr int kProcesses = 3;
   constexpr int kYields = 4;
   std::vector<int> body_entries(kProcesses, 0);
@@ -441,38 +382,39 @@ TEST_P(SchedulerBackendTest, FinishedProcessesAreNeverRedispatched) {
   EXPECT_EQ(sched.num_fast_path_yields(), 0);
 }
 
-TEST(SchedulerBackendEquivalenceTest, TraceIsBitIdenticalAcrossBackends) {
-  if (!FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
-  const auto run_once = [](SchedulerBackend backend) {
-    Scheduler sched(backend);
-    std::vector<std::pair<int, SimTime>> trace;
-    Resource disk("disk");
-    Mailbox<int> box;
-    Process* receiver = sched.Spawn([&](Process& p) {
-      for (int k = 0; k < 6; ++k) {
-        trace.emplace_back(100 + box.BlockingReceive(p), p.now());
+// Mailboxes, a contended resource, lookahead and blocking receives in one
+// schedule, pinned value by value: (process or 100 + sender, clock) per
+// event. An independent OS-thread scheduler produced the same values.
+TEST(SchedulerTest, MailboxAndResourceTraceIsPinned) {
+  Scheduler sched;
+  std::vector<std::pair<int, SimTime>> trace;
+  Resource disk("disk");
+  Mailbox<int> box;
+  Process* receiver = sched.Spawn([&](Process& p) {
+    for (int k = 0; k < 6; ++k) {
+      const int sender = box.BlockingReceive(p);
+      trace.emplace_back(100 + sender, p.now());
+    }
+  });
+  box.BindOwner(receiver);
+  for (int i = 0; i < 3; ++i) {
+    sched.Spawn([&, i](Process& p) {
+      uint64_t state = static_cast<uint64_t>(i) * 2654435761u + 1;
+      for (int k = 0; k < 2; ++k) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        p.Advance(static_cast<SimTime>(state % 400));
+        disk.Use(p, 75);
+        box.Send(p, i, /*delay=*/state % 30);
+        trace.emplace_back(i, p.now());
       }
     });
-    box.BindOwner(receiver);
-    for (int i = 0; i < 3; ++i) {
-      sched.Spawn([&, i](Process& p) {
-        uint64_t state = static_cast<uint64_t>(i) * 2654435761u + 1;
-        for (int k = 0; k < 2; ++k) {
-          state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-          p.Advance(static_cast<SimTime>(state % 400));
-          disk.Use(p, 75);
-          box.Send(p, i, /*delay=*/state % 30);
-          trace.emplace_back(i, p.now());
-        }
-      });
-    }
-    sched.Run();
-    return std::make_pair(trace, sched.end_time());
-  };
-  EXPECT_EQ(run_once(SchedulerBackend::kThread),
-            run_once(SchedulerBackend::kFiber));
+  }
+  sched.Run();
+  const std::vector<std::pair<int, SimTime>> expected = {
+      {0, 87},    {100, 109}, {1, 180},   {101, 205}, {2, 273},   {102, 301},
+      {0, 381},   {100, 410}, {2, 456},   {102, 467}, {1, 595},   {101, 615}};
+  EXPECT_EQ(trace, expected);
+  EXPECT_EQ(sched.end_time(), 615);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "core/experiment.h"
 #include "report/speedup_profiler.h"
-#include "sim/fiber_context.h"
 #include "trace/trace_sink.h"
 
 namespace psj {
@@ -166,21 +165,16 @@ TEST(SpeedupProfilerTest, DecompositionSumsToTotalAcrossVariants) {
   }
 }
 
-// The profiler is a pure function of (trace, stats): identical runs on the
-// two scheduler backends decompose identically.
-TEST(SpeedupProfilerTest, BackendInvariance) {
-  if (!sim::FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
+// The profiler is a pure function of (trace, stats): two fresh runs of one
+// configuration, each with its own sink, decompose identically.
+TEST(SpeedupProfilerTest, FreshRunsDecomposeIdentically) {
   PaperWorkloadSpec spec;
   const PaperWorkload workload(spec.Scaled(0.02));
   std::vector<SpeedupDecomposition> decompositions;
-  for (const sim::SchedulerBackend backend :
-       {sim::SchedulerBackend::kThread, sim::SchedulerBackend::kFiber}) {
+  for (int run = 0; run < 2; ++run) {
     ParallelJoinConfig config = ParallelJoinConfig::Gd();
     config.num_processors = 4;
     config.num_disks = 4;
-    config.scheduler_backend = backend;
     trace::TraceSink sink;
     config.trace = &sink;
     auto result = workload.RunJoin(config);

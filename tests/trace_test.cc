@@ -318,7 +318,6 @@ ParallelJoinConfig TracedConfig() {
   config.num_disks = 2;
   config.total_buffer_pages = 160;
   config.reassignment = ReassignmentLevel::kAllLevels;
-  config.scheduler_backend = sim::SchedulerBackend::kThread;
   return config;
 }
 
