@@ -59,18 +59,20 @@ void BM_NestedLoopJoin(benchmark::State& state) {
 BENCHMARK(BM_NestedLoopJoin)->Arg(26)->Arg(102)->Arg(1024);
 
 void BM_NodeMatch(benchmark::State& state) {
-  Rng rng(3);
-  RTreeNode a;
-  RTreeNode b;
-  a.level = b.level = 1;
+  // Two full directory nodes on pages 1 and 2 (page 0 is the metadata
+  // page), sealed into one SoA cache as RStarTree::Seal() builds it.
+  std::vector<RTreeNode> nodes(3);
+  nodes[1].level = nodes[2].level = 1;
   for (int i = 0; i < 102; ++i) {
     const auto ra = RandomRects(10 + static_cast<uint64_t>(i), 1, 0.05)[0];
     const auto rb = RandomRects(20 + static_cast<uint64_t>(i), 1, 0.05)[0];
-    a.entries.push_back(RTreeEntry{ra, static_cast<uint64_t>(i)});
-    b.entries.push_back(RTreeEntry{rb, static_cast<uint64_t>(i)});
+    nodes[1].entries.push_back(RTreeEntry{ra, static_cast<uint64_t>(i)});
+    nodes[2].entries.push_back(RTreeEntry{rb, static_cast<uint64_t>(i)});
   }
+  NodeSoACache cache;
+  cache.Build(nodes, {true, false, false});
   for (auto _ : state) {
-    auto result = MatchNodeEntries(a, b);
+    auto result = MatchNodeEntriesSoA(cache.view(1), cache.view(2));
     benchmark::DoNotOptimize(result);
   }
 }
@@ -96,6 +98,7 @@ void BM_RStarWindowQuery(benchmark::State& state) {
   for (size_t i = 0; i < rects.size(); ++i) {
     tree.Insert(rects[i], i);
   }
+  tree.Seal();
   Rng rng(6);
   for (auto _ : state) {
     const double x = rng.NextDoubleInRange(0.0, 0.9);
@@ -179,6 +182,7 @@ void BM_KnnQuery(benchmark::State& state) {
   for (size_t i = 0; i < rects.size(); ++i) {
     tree.Insert(rects[i], i);
   }
+  tree.Seal();
   Rng rng(12);
   for (auto _ : state) {
     auto neighbors = tree.KnnQuery(

@@ -41,9 +41,9 @@ PaperWorkload::PaperWorkload(const PaperWorkloadSpec& spec)
       tree_s_(BuildTreeFromObjects(2, store_s_.objects(), spec.build)) {}
 
 int64_t PaperWorkload::CountRootTaskPairs() const {
-  const RTreeNode& root_r = tree_r_.node(tree_r_.root_page());
-  const RTreeNode& root_s = tree_s_.node(tree_s_.root_page());
-  return static_cast<int64_t>(MatchNodeEntries(root_r, root_s).size());
+  return static_cast<int64_t>(MatchNodePages(tree_r_, tree_r_.root_page(),
+                                             tree_s_, tree_s_.root_page())
+                                  .size());
 }
 
 StatusOr<JoinResult> PaperWorkload::RunJoin(

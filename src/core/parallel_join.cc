@@ -27,6 +27,8 @@ class JoinDriver {
              const ParallelJoinConfig& config)
       : tree_r_(tree_r),
         tree_s_(tree_s),
+        cache_r_(tree_r.sealed()),
+        cache_s_(tree_s.sealed()),
         objects_r_(objects_r),
         objects_s_(objects_s),
         config_(config),
@@ -169,7 +171,7 @@ class JoinDriver {
     JoinTaskHooks hooks;
     hooks.fetch_node = [this, &p](const RStarTree& tree, uint32_t page,
                                   int level) {
-      FetchNode(p, tree, page, level);
+      ChargeFetch(p, tree, page, level);
     };
     hooks.charge_alignment_test = [this, &p] {
       p.Advance(config_.costs.cpu_per_pair_tested);
@@ -244,12 +246,13 @@ class JoinDriver {
 
   void ExecutePair(sim::Process& p, const NodePair& pair) {
     const size_t cpu = static_cast<size_t>(p.id());
-    const RTreeNode& nr = FetchNode(p, tree_r_, pair.page_r, pair.level);
-    const RTreeNode& ns = FetchNode(p, tree_s_, pair.page_s, pair.level);
+    ChargeFetch(p, tree_r_, pair.page_r, pair.level);
+    const NodeSoAView nr = cache_r_.view(pair.page_r);
+    ChargeFetch(p, tree_s_, pair.page_s, pair.level);
+    const NodeSoAView ns = cache_s_.view(pair.page_s);
     NodeMatchCounts counts;
-    const auto matches = MatchNodePages(tree_r_, pair.page_r, tree_s_,
-                                        pair.page_s, match_options_, &counts,
-                                        &match_scratch_);
+    const auto matches =
+        MatchNodeEntriesSoA(nr, ns, match_options_, &counts, &match_scratch_);
     p.Advance(static_cast<sim::SimTime>(counts.entries_considered_r +
                                         counts.entries_considered_s) *
                   config_.costs.cpu_per_entry_sorted +
@@ -268,8 +271,7 @@ class JoinDriver {
       std::vector<NodePair> children;
       children.reserve(matches.size());
       for (const auto& [i, j] : matches) {
-        children.push_back(NodePair{nr.entries[i].child_page(),
-                                    ns.entries[j].child_page(),
+        children.push_back(NodePair{nr.child_page(i), ns.child_page(j),
                                     static_cast<int16_t>(pair.level - 1)});
       }
       pool_.Push(p, children);
@@ -280,30 +282,29 @@ class JoinDriver {
     // processor performs the refinement step (§3), whose exact-geometry
     // test is charged as a waiting period derived from the MBR overlap.
     for (const auto& [i, j] : matches) {
-      const RTreeEntry& er = nr.entries[i];
-      const RTreeEntry& es = ns.entries[j];
+      const uint64_t id_r = nr.ids[i];
+      const uint64_t id_s = ns.ids[j];
       ++stats_[cpu].candidates;
       if (config_.use_second_filter) {
         // Second filter step: cheap section-MBR screening; a proven false
         // hit skips the expensive exact-geometry waiting period.
         size_t tests = 0;
         const bool possible = SecondFilter::CanIntersect(
-            second_filter_r_->sections(er.object_id()),
-            second_filter_s_->sections(es.object_id()), &tests);
+            second_filter_r_->sections(id_r),
+            second_filter_s_->sections(id_s), &tests);
         p.Advance(static_cast<sim::SimTime>(tests) *
                   config_.costs.cpu_per_pair_tested);
         if (!possible) {
           ++stats_[cpu].second_filter_eliminated;
           if (config_.collect_pairs) {
-            candidate_pairs_[cpu].emplace_back(er.object_id(),
-                                               es.object_id());
+            candidate_pairs_[cpu].emplace_back(id_r, id_s);
           }
           p.Sync();
           continue;
         }
       }
       const sim::SimTime refine_cost =
-          config_.costs.RefinementCost(er.rect, es.rect);
+          config_.costs.RefinementCost(nr.rects.rect(i), ns.rects.rect(j));
       if (trace_ != nullptr) {
         trace_->Span(p.id(), trace::Category::kRefinement, "refinement",
                      p.now(), p.now() + refine_cost);
@@ -312,25 +313,26 @@ class JoinDriver {
       stats_[cpu].refinement_time += refine_cost;
       bool is_answer = false;
       if (config_.compute_answers) {
-        is_answer = objects_r_->Get(er.object_id())
-                        .geometry.Intersects(
-                            objects_s_->Get(es.object_id()).geometry);
+        is_answer = objects_r_->Get(id_r).geometry.Intersects(
+            objects_s_->Get(id_s).geometry);
         if (is_answer) {
           ++stats_[cpu].answers;
         }
       }
       if (config_.collect_pairs) {
-        candidate_pairs_[cpu].emplace_back(er.object_id(), es.object_id());
+        candidate_pairs_[cpu].emplace_back(id_r, id_s);
         if (is_answer) {
-          answer_pairs_[cpu].emplace_back(er.object_id(), es.object_id());
+          answer_pairs_[cpu].emplace_back(id_r, id_s);
         }
       }
       p.Sync();  // Let the refinement waiting period interleave.
     }
   }
 
-  const RTreeNode& FetchNode(sim::Process& p, const RStarTree& tree,
-                             uint32_t page, int level) {
+  // Charges one node read: a path-buffer hit, or a fetch through the
+  // buffer pool.
+  void ChargeFetch(sim::Process& p, const RStarTree& tree, uint32_t page,
+                   int level) {
     const size_t cpu = static_cast<size_t>(p.id());
     const PageId pid{tree.tree_id(), page};
     if (config_.use_path_buffer &&
@@ -347,17 +349,18 @@ class JoinDriver {
         path_buffers_[cpu].Enter(pid, level);
       }
     }
-    return tree.node(page);
   }
 
   // ---- Fixed inputs ----
   const RStarTree& tree_r_;
   const RStarTree& tree_s_;
+  const NodeSoACache& cache_r_;
+  const NodeSoACache& cache_s_;
   const ObjectStore* objects_r_;
   const ObjectStore* objects_s_;
   const ParallelJoinConfig& config_;
   const NodeMatchOptions match_options_;
-  // Matching scratch shared by all simulated processors: MatchNodeEntries
+  // Matching scratch shared by all simulated processors: the node match
   // never yields to the scheduler mid-call, so reuse is race free and kills
   // the per-node-pair allocations.
   NodeMatchScratch match_scratch_;
@@ -416,6 +419,10 @@ StatusOr<JoinResult> ParallelSpatialJoin::Run(
       (objects_r_ == nullptr || objects_s_ == nullptr)) {
     return Status::InvalidArgument(
         "compute_answers/use_second_filter require both object stores");
+  }
+  if (tree_r_->soa() == nullptr || tree_s_->soa() == nullptr) {
+    return Status::FailedPrecondition(
+        "the join reads sealed trees; call RStarTree::Seal() first");
   }
   JoinDriver driver(*tree_r_, *tree_s_, objects_r_, objects_s_, config);
   return driver.Run();

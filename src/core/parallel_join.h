@@ -33,7 +33,8 @@ class ParallelSpatialJoin {
                       const ObjectStore* objects_r,
                       const ObjectStore* objects_s);
 
-  /// Simulates one parallel join under `config`.
+  /// Simulates one parallel join under `config`. FailedPrecondition when
+  /// either tree is not sealed.
   StatusOr<JoinResult> Run(const ParallelJoinConfig& config) const;
 
  private:

@@ -7,7 +7,6 @@
 
 #include "buffer/path_buffer.h"
 #include "geo/node_scan.h"
-#include "geo/rect_batch.h"
 #include "core/task_pool.h"
 #include "core/workload.h"
 
@@ -35,6 +34,7 @@ class WindowQueryDriver {
   WindowQueryDriver(const RStarTree& tree, const ObjectStore* objects,
                     const Rect& window, const WindowQueryConfig& config)
       : tree_(tree),
+        cache_(tree.sealed()),
         objects_(objects),
         window_(window),
         config_(config),
@@ -66,7 +66,6 @@ class WindowQueryDriver {
     stats_.assign(static_cast<size_t>(n), ProcessorStats());
     candidate_ids_.resize(static_cast<size_t>(n));
     answer_ids_.resize(static_cast<size_t>(n));
-    filter_batches_.resize(static_cast<size_t>(n));
     filter_hits_.resize(static_cast<size_t>(n));
     if (config_.check != nullptr) {
       disks_.BindCheck(config_.check);
@@ -142,18 +141,11 @@ class WindowQueryDriver {
            frontier.size() < std::max<size_t>(needed, 2)) {
       std::deque<PageTask> next;
       for (const PageTask& task : frontier) {
-        const RTreeNode& node = FetchNode(p, task.page, task.level);
-        std::vector<RTreeEntry> entries(node.entries.begin(),
-                                        node.entries.end());
-        std::sort(entries.begin(), entries.end(),
-                  [](const RTreeEntry& a, const RTreeEntry& b) {
-                    if (a.rect.xl != b.rect.xl) return a.rect.xl < b.rect.xl;
-                    return a.id < b.id;
-                  });
-        for (const RTreeEntry& entry : entries) {
+        const NodeSoAView node = FetchNode(p, task.page, task.level);
+        for (const uint32_t k : ChildOrderByXl(node)) {
           p.Advance(config_.costs.cpu_per_pair_tested);
-          if (entry.rect.Intersects(window_)) {
-            next.push_back(PageTask{entry.child_page(),
+          if (node.rects.rect(k).Intersects(window_)) {
+            next.push_back(PageTask{node.child_page(k),
                                     static_cast<int16_t>(task.level - 1)});
           }
         }
@@ -202,36 +194,26 @@ class WindowQueryDriver {
     }
   }
 
-  // Batched window filter over a node's entries: hit indices, ascending —
-  // the same order as the scalar entry loop. Scratch is per simulated
-  // processor: the data-page loop holds the result across p.Sync(), where
-  // other processors' coroutines run their own filters.
-  std::span<const uint32_t> FilterEntries(size_t cpu, uint32_t page,
-                                          const RTreeNode& node) {
-    // Sealed trees scan the cached node planes in place; the fallback
-    // transposes the entries first. Hit indices are identical either way.
-    if (const NodeSoACache* cache = tree_.soa(); cache != nullptr) {
-      ScanIntersecting(cache->view(page).rects, window_, &filter_hits_[cpu]);
-      return filter_hits_[cpu];
-    }
-    filter_batches_[cpu].AssignProjected(
-        node.entries,
-        [](const RTreeEntry& e) -> const Rect& { return e.rect; });
-    FilterIntersecting(filter_batches_[cpu], window_, &filter_hits_[cpu]);
+  // Window filter over a node's planes: hit indices, ascending — the same
+  // order as the scalar entry loop. Scratch is per simulated processor:
+  // the data-page loop holds the result across p.Sync(), where other
+  // processors' coroutines run their own filters.
+  std::span<const uint32_t> FilterEntries(size_t cpu, const NodeSoAView& node) {
+    ScanIntersecting(node.rects, window_, &filter_hits_[cpu]);
     return filter_hits_[cpu];
   }
 
   void ExecuteTask(sim::Process& p, const PageTask& task) {
     const size_t cpu = static_cast<size_t>(p.id());
-    const RTreeNode& node = FetchNode(p, task.page, task.level);
-    p.Advance(static_cast<sim::SimTime>(node.entries.size()) *
+    const NodeSoAView node = FetchNode(p, task.page, task.level);
+    p.Advance(static_cast<sim::SimTime>(node.size()) *
               config_.costs.cpu_per_pair_tested);
     ++stats_[cpu].node_pairs_processed;
 
     if (task.level > 0) {
       std::vector<PageTask> children;
-      for (const uint32_t k : FilterEntries(cpu, task.page, node)) {
-        children.push_back(PageTask{node.entries[k].child_page(),
+      for (const uint32_t k : FilterEntries(cpu, node)) {
+        children.push_back(PageTask{node.child_page(k),
                                     static_cast<int16_t>(task.level - 1)});
       }
       pool_.Push(p, children);
@@ -241,32 +223,31 @@ class WindowQueryDriver {
     // Data page: every entry whose MBR intersects the window is a
     // candidate; the refinement test against the window geometry is
     // charged per the overlap-degree waiting-period model.
-    for (const uint32_t k : FilterEntries(cpu, task.page, node)) {
-      const RTreeEntry& entry = node.entries[k];
+    for (const uint32_t k : FilterEntries(cpu, node)) {
+      const uint64_t id = node.ids[k];
       const sim::SimTime refine_cost =
-          config_.costs.RefinementCost(entry.rect, window_);
+          config_.costs.RefinementCost(node.rects.rect(k), window_);
       p.Advance(refine_cost);
       stats_[cpu].refinement_time += refine_cost;
       ++stats_[cpu].candidates;
       bool is_answer = false;
       if (config_.compute_answers) {
-        is_answer =
-            objects_->Get(entry.object_id()).geometry.IntersectsRect(window_);
+        is_answer = objects_->Get(id).geometry.IntersectsRect(window_);
         if (is_answer) {
           ++stats_[cpu].answers;
         }
       }
       if (config_.collect_ids) {
-        candidate_ids_[cpu].push_back(entry.object_id());
+        candidate_ids_[cpu].push_back(id);
         if (is_answer) {
-          answer_ids_[cpu].push_back(entry.object_id());
+          answer_ids_[cpu].push_back(id);
         }
       }
       p.Sync();
     }
   }
 
-  const RTreeNode& FetchNode(sim::Process& p, uint32_t page, int level) {
+  NodeSoAView FetchNode(sim::Process& p, uint32_t page, int level) {
     const size_t cpu = static_cast<size_t>(p.id());
     const PageId pid{tree_.tree_id(), page};
     if (config_.use_path_buffer &&
@@ -279,10 +260,11 @@ class WindowQueryDriver {
         path_buffers_[cpu].Enter(pid, level);
       }
     }
-    return tree_.node(page);
+    return cache_.view(page);
   }
 
   const RStarTree& tree_;
+  const NodeSoACache& cache_;
   const ObjectStore* objects_;
   const Rect window_;
   const WindowQueryConfig& config_;
@@ -294,7 +276,6 @@ class WindowQueryDriver {
   check::Cell<bool> tasks_ready_{"window_query.tasks_ready"};
   TaskPool<PageTask> pool_;
   std::vector<PathBuffer> path_buffers_;
-  std::vector<RectBatch> filter_batches_;
   std::vector<std::vector<uint32_t>> filter_hits_;
 
   std::vector<ProcessorStats> stats_;
@@ -322,6 +303,10 @@ StatusOr<WindowQueryResult> ParallelWindowQuery::Run(
   if (config.compute_answers && objects_ == nullptr) {
     return Status::InvalidArgument(
         "compute_answers requires the object store");
+  }
+  if (tree_->soa() == nullptr) {
+    return Status::FailedPrecondition(
+        "the window query reads a sealed tree; call RStarTree::Seal() first");
   }
   WindowQueryDriver driver(*tree_, objects_, window, config);
   return driver.Run();

@@ -71,6 +71,7 @@ class ParallelWindowQuery {
   ParallelWindowQuery(const RStarTree* tree, const ObjectStore* objects);
 
   /// Simulates one window query for `window` under `config`.
+  /// FailedPrecondition when the tree is not sealed.
   StatusOr<WindowQueryResult> Run(const Rect& window,
                                   const WindowQueryConfig& config) const;
 

@@ -17,13 +17,14 @@ std::unordered_map<PageId, int, PageIdHash> ComputeHilbertStriping(
     uint64_t curve_index;
     uint32_t page_no;
   };
+  const NodeSoACache& cache = tree.sealed();
   std::vector<PageKey> keys;
   keys.reserve(tree.num_pages());
   for (uint32_t page_no = 1; page_no < tree.num_pages(); ++page_no) {
     if (tree.IsFreePage(page_no)) {
       continue;
     }
-    const Rect mbr = tree.node(page_no).ComputeMbr();
+    const Rect mbr = cache.view(page_no).mbr;
     const Point center =
         mbr.IsValid() ? mbr.Center() : Point{world.xl, world.yl};
     keys.push_back(PageKey{curve.PointIndex(center, world), page_no});

@@ -24,7 +24,7 @@ enum class PagePlacement {
 /// Computes the Hilbert-striped disk assignment for all live pages of
 /// `tree` over `num_disks` disks, relative to `world` (normally the root
 /// MBR). Pages sorted by the Hilbert index of their MBR center get disks
-/// 0, 1, ..., d-1, 0, 1, ... in curve order.
+/// 0, 1, ..., d-1, 0, 1, ... in curve order. `tree` must be sealed.
 std::unordered_map<PageId, int, PageIdHash> ComputeHilbertStriping(
     const RStarTree& tree, const Rect& world, int num_disks);
 

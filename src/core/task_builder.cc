@@ -22,12 +22,13 @@ JoinTaskSet BuildJoinTasks(const RStarTree& tree_r, const RStarTree& tree_s,
                            const NodeMatchOptions& match_options,
                            const JoinTaskHooks& hooks,
                            NodeMatchScratch* scratch) {
-  const auto fetch = [&hooks](const RStarTree& tree, uint32_t page,
-                              int level) -> const RTreeNode& {
+  const NodeSoACache& cache_r = tree_r.sealed();
+  const NodeSoACache& cache_s = tree_s.sealed();
+  const auto fetch = [&](bool from_r, uint32_t page, int level) {
     if (hooks.fetch_node) {
-      hooks.fetch_node(tree, page, level);
+      hooks.fetch_node(from_r ? tree_r : tree_s, page, level);
     }
-    return tree.node(page);
+    return (from_r ? cache_r : cache_s).view(page);
   };
 
   std::deque<FrontierPair> frontier;
@@ -38,31 +39,23 @@ JoinTaskSet BuildJoinTasks(const RStarTree& tree_r, const RStarTree& tree_s,
   const auto expand_one_side = [&](const FrontierPair& pair,
                                    std::deque<FrontierPair>* out) {
     const bool expand_r = pair.level_r > pair.level_s;
-    const RStarTree& tree = expand_r ? tree_r : tree_s;
     const uint32_t page = expand_r ? pair.page_r : pair.page_s;
     const int level = expand_r ? pair.level_r : pair.level_s;
-    const RTreeNode& node = fetch(tree, page, level);
-    const RTreeNode& other =
-        fetch(expand_r ? tree_s : tree_r, expand_r ? pair.page_s : pair.page_r,
-              expand_r ? pair.level_s : pair.level_r);
-    const Rect other_mbr = other.ComputeMbr();
-    std::vector<RTreeEntry> entries(node.entries.begin(),
-                                    node.entries.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const RTreeEntry& a, const RTreeEntry& b) {
-                if (a.rect.xl != b.rect.xl) return a.rect.xl < b.rect.xl;
-                return a.id < b.id;
-              });
-    for (const RTreeEntry& entry : entries) {
+    const NodeSoAView node = fetch(expand_r, page, level);
+    const Rect other_mbr =
+        fetch(!expand_r, expand_r ? pair.page_s : pair.page_r,
+              expand_r ? pair.level_s : pair.level_r)
+            .mbr;
+    for (const uint32_t k : ChildOrderByXl(node)) {
       if (hooks.charge_alignment_test) {
         hooks.charge_alignment_test();
       }
-      if (!entry.rect.Intersects(other_mbr)) continue;
+      if (!node.rects.rect(k).Intersects(other_mbr)) continue;
       if (expand_r) {
-        out->push_back(FrontierPair{entry.child_page(), pair.page_s, level - 1,
-                                    pair.level_s});
+        out->push_back(FrontierPair{node.child_page(k), pair.page_s,
+                                    level - 1, pair.level_s});
       } else {
-        out->push_back(FrontierPair{pair.page_r, entry.child_page(),
+        out->push_back(FrontierPair{pair.page_r, node.child_page(k),
                                     pair.level_r, level - 1});
       }
     }
@@ -96,18 +89,16 @@ JoinTaskSet BuildJoinTasks(const RStarTree& tree_r, const RStarTree& tree_s,
          frontier.size() < needed) {
     std::deque<FrontierPair> next;
     for (const FrontierPair& fp : frontier) {
-      const RTreeNode& nr = fetch(tree_r, fp.page_r, fp.level_r);
-      const RTreeNode& ns = fetch(tree_s, fp.page_s, fp.level_s);
+      const NodeSoAView nr = fetch(true, fp.page_r, fp.level_r);
+      const NodeSoAView ns = fetch(false, fp.page_s, fp.level_s);
       NodeMatchCounts counts;
-      const auto matches = MatchNodePages(tree_r, fp.page_r, tree_s,
-                                          fp.page_s, match_options, &counts,
-                                          scratch);
+      const auto matches =
+          MatchNodeEntriesSoA(nr, ns, match_options, &counts, scratch);
       if (hooks.charge_match) {
         hooks.charge_match(counts);
       }
       for (const auto& [i, j] : matches) {
-        next.push_back(FrontierPair{nr.entries[i].child_page(),
-                                    ns.entries[j].child_page(),
+        next.push_back(FrontierPair{nr.child_page(i), ns.child_page(j),
                                     fp.level_r - 1, fp.level_s - 1});
       }
     }

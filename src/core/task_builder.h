@@ -16,12 +16,13 @@ namespace psj {
 /// through its buffer pool; the native engine reads the in-memory trees
 /// directly and passes no hooks at all.
 struct JoinTaskHooks {
-  /// Invoked immediately before the builder reads `tree.node(page)`.
+  /// Invoked immediately before the builder reads the sealed image of
+  /// `tree`'s page `page`.
   std::function<void(const RStarTree& tree, uint32_t page, int level)>
       fetch_node;
   /// One MBR intersection test during the height-alignment phase.
   std::function<void()> charge_alignment_test;
-  /// One MatchNodeEntries call while descending toward the task level.
+  /// One node-pair match while descending toward the task level.
   std::function<void(const NodeMatchCounts& counts)> charge_match;
 };
 
@@ -38,7 +39,8 @@ struct JoinTaskSet {
 /// side), then descending level by level until the number of intersecting
 /// subtree pairs m reaches `task_creation_factor * num_processors` (or the
 /// data level). Children are expanded in local plane-sweep order (ascending
-/// xl, ties by entry id), so the task list preserves spatial locality.
+/// xl, ties by entry id; ChildOrderByXl while aligning), so the task list
+/// preserves spatial locality. Both trees must be sealed.
 ///
 /// The traversal sequence — which nodes are read, which node pairs are
 /// matched, and in which order — is a pure function of the trees and

@@ -405,17 +405,6 @@ size_t SweepCollectPairs(const RectBatch& r, const RectBatch& s,
 
 #endif  // defined(__AVX2__)
 
-namespace {
-
-// Largest input SortedOrderByXl sorts by insertion rather than std::sort.
-constexpr size_t kInsertionSortMax = 32;
-
-// An integer image of an xl key that orders as SortedOrderByXl does:
-// ascending doubles map to ascending integers, -0.0 and +0.0 to the same
-// one, and every NaN to the largest, after +inf. So (key, index) pairs
-// compare lexicographically in sweep order, ties by index — a strict weak
-// order for every double, which std::sort needs: a sealed node may hold a
-// NaN coordinate, since bulk and page-file loads do not validate rects.
 uint64_t XlSortKey(double xl) {
   if (std::isnan(xl)) return std::numeric_limits<uint64_t>::max();
   // Adding +0.0 turns -0.0 into +0.0. Setting the sign bit lifts the
@@ -424,6 +413,11 @@ uint64_t XlSortKey(double xl) {
   const uint64_t bits = std::bit_cast<uint64_t>(xl + 0.0);
   return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
 }
+
+namespace {
+
+// Largest input SortedOrderByXl sorts by insertion rather than std::sort.
+constexpr size_t kInsertionSortMax = 32;
 
 void SortedOrderByXlPlane(
     const double* xl, size_t n, std::vector<uint32_t>* order,

@@ -190,6 +190,14 @@ size_t CountAndEmitYOverlaps(const RectBatch& batch, size_t lo,
                              double anchor_xu, double anchor_yl,
                              double anchor_yu, std::vector<uint32_t>* hits);
 
+/// An integer image of an xl key that orders as SortedOrderByXl does:
+/// ascending doubles map to ascending integers, -0.0 and +0.0 to the same
+/// one, and every NaN to the largest, after +inf. So (key, index) pairs
+/// compare lexicographically in sweep order, ties by index — a strict weak
+/// order for every double, which std::sort needs: a sealed node may hold a
+/// NaN coordinate, since bulk and page-file loads do not validate rects.
+uint64_t XlSortKey(double xl);
+
 /// Batched SortedOrderByXl: fills `*order` with the permutation sorting
 /// `batch` ascending by xl, NaN keys last, ties by index (the scalar
 /// tie-break; -0.0 and +0.0 tie). The sort runs over packed (integer key,

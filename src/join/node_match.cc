@@ -4,83 +4,6 @@
 #include "geo/rect_batch.h"
 
 namespace psj {
-namespace {
-
-// Loads both nodes' entry MBRs into the scratch input batches.
-void LoadEntryBatches(const RTreeNode& node_r, const RTreeNode& node_s,
-                      NodeMatchScratch& scratch) {
-  const auto rect_of = [](const RTreeEntry& e) -> const Rect& {
-    return e.rect;
-  };
-  scratch.raw_r.AssignProjected(node_r.entries, rect_of);
-  scratch.raw_s.AssignProjected(node_s.entries, rect_of);
-}
-
-}  // namespace
-
-std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntries(
-    const RTreeNode& node_r, const RTreeNode& node_s,
-    const NodeMatchOptions& options, NodeMatchCounts* counts,
-    NodeMatchScratch* scratch) {
-  thread_local NodeMatchScratch shared_scratch;
-  NodeMatchScratch& sc = scratch != nullptr ? *scratch : shared_scratch;
-  std::vector<std::pair<uint32_t, uint32_t>> result;
-  NodeMatchCounts local_counts;
-
-  Rect clip;
-  if (options.use_search_space_restriction) {
-    clip = node_r.ComputeMbr().Intersection(node_s.ComputeMbr());
-    if (!clip.IsValid()) {
-      if (counts != nullptr) *counts = local_counts;
-      return result;
-    }
-  }
-  const Rect* clip_ptr =
-      options.use_search_space_restriction ? &clip : nullptr;
-  LoadEntryBatches(node_r, node_s, sc);
-
-  if (options.use_plane_sweep) {
-    local_counts.pairs_tested = BatchSweepJoin(
-        sc, clip_ptr, [&](size_t i, size_t j) {
-          result.emplace_back(static_cast<uint32_t>(i),
-                              static_cast<uint32_t>(j));
-        });
-    local_counts.entries_considered_r = sc.ids_r.size();
-    local_counts.entries_considered_s = sc.ids_s.size();
-  } else {
-    // Nested-loop ablation baseline: every restricted pair is tested; the
-    // inner loop runs as the batched clip-filter kernel with the outer
-    // rectangle as the query.
-    const RectBatch* kept_r = &sc.raw_r;
-    const RectBatch* kept_s = &sc.raw_s;
-    if (clip_ptr != nullptr) {
-      FilterIntersecting(sc.raw_r, clip, &sc.ids_r);
-      FilterIntersecting(sc.raw_s, clip, &sc.ids_s);
-      sc.kept_r.AssignGather(sc.raw_r, sc.ids_r);
-      sc.kept_s.AssignGather(sc.raw_s, sc.ids_s);
-      kept_r = &sc.kept_r;
-      kept_s = &sc.kept_s;
-    }
-    const size_t nr = kept_r->size();
-    const size_t ns = kept_s->size();
-    for (size_t i = 0; i < nr; ++i) {
-      sc.hits.clear();
-      FilterIntersecting(*kept_s, kept_r->rect(i), &sc.hits);
-      const uint32_t orig_i = clip_ptr != nullptr
-                                  ? sc.ids_r[i]
-                                  : static_cast<uint32_t>(i);
-      for (const uint32_t j : sc.hits) {
-        result.emplace_back(orig_i,
-                            clip_ptr != nullptr ? sc.ids_s[j] : j);
-      }
-    }
-    local_counts.entries_considered_r = nr;
-    local_counts.entries_considered_s = ns;
-    local_counts.pairs_tested = nr * ns;
-  }
-  if (counts != nullptr) *counts = local_counts;
-  return result;
-}
 
 std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntriesSoA(
     const NodeSoAView& node_r, const NodeSoAView& node_s,
@@ -112,10 +35,10 @@ std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntriesSoA(
     local_counts.entries_considered_r = sc.ids_r.size();
     local_counts.entries_considered_s = sc.ids_s.size();
   } else {
-    // Nested-loop ablation baseline, as in MatchNodeEntries: the restricted
-    // sets land in the kept batches (full plane copies when unclipped), and
-    // the inner loop is the clip-filter kernel with the outer rectangle as
-    // the query.
+    // Nested-loop ablation baseline: every restricted pair is tested. The
+    // restricted sets land in the kept batches (full plane copies when
+    // unclipped), and the inner loop is the clip-filter kernel with the
+    // outer rectangle as the query.
     if (clip_ptr != nullptr) {
       ScanIntersecting(node_r.rects, clip, &sc.ids_r);
       ScanIntersecting(node_s.rects, clip, &sc.ids_s);
@@ -150,14 +73,9 @@ std::vector<std::pair<uint32_t, uint32_t>> MatchNodePages(
     const RStarTree& tree_r, uint32_t page_r, const RStarTree& tree_s,
     uint32_t page_s, const NodeMatchOptions& options, NodeMatchCounts* counts,
     NodeMatchScratch* scratch) {
-  const NodeSoACache* cache_r = tree_r.soa();
-  const NodeSoACache* cache_s = tree_s.soa();
-  if (cache_r != nullptr && cache_s != nullptr) {
-    return MatchNodeEntriesSoA(cache_r->view(page_r), cache_s->view(page_s),
-                               options, counts, scratch);
-  }
-  return MatchNodeEntries(tree_r.node(page_r), tree_s.node(page_s), options,
-                          counts, scratch);
+  return MatchNodeEntriesSoA(tree_r.sealed().view(page_r),
+                             tree_s.sealed().view(page_s), options, counts,
+                             scratch);
 }
 
 }  // namespace psj

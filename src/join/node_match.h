@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "geo/rect_batch.h"
-#include "rtree/node.h"
 #include "rtree/node_soa.h"
 #include "rtree/rstar_tree.h"
 
@@ -32,42 +31,30 @@ struct NodeMatchCounts {
   size_t pairs_tested = 0;
 };
 
-/// Reusable buffers for MatchNodeEntries; keep one per joiner and pass it to
-/// every call so the matching step performs no per-node-pair allocations.
+/// Reusable buffers for MatchNodeEntriesSoA; keep one per joiner and pass it
+/// to every call so the matching step performs no per-node-pair allocations.
 using NodeMatchScratch = SweepScratch;
 
 /// \brief Computes all pairs (index into `node_r`, index into `node_s`) of
-/// intersecting entries, on the batched SoA kernels of rect_batch.h.
+/// intersecting entries of two sealed node images (rtree/node_soa.h).
 ///
 /// With plane-sweep enabled the pairs come out in *local plane-sweep order*
 /// (§2.2), which determines the page read order that preserves spatial
-/// locality; with nested loops they come out in entry order. Both modes
-/// produce the same set of pairs. `scratch`, when non-null, supplies the
-/// working buffers (a shared thread-local is used otherwise).
-std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntries(
-    const RTreeNode& node_r, const RTreeNode& node_s,
-    const NodeMatchOptions& options = NodeMatchOptions(),
-    NodeMatchCounts* counts = nullptr, NodeMatchScratch* scratch = nullptr);
-
-/// \brief MatchNodeEntries over two cached SoA node images
-/// (rtree/node_soa.h).
-///
-/// Bit-identical to MatchNodeEntries on the corresponding nodes — the same
-/// pairs in the same order and the same counts — but skips the per-call
-/// AoS→SoA transposition and the two scalar MBR folds (the views carry
-/// precomputed MBRs), and, in plane-sweep mode, the per-call sort: the
-/// restriction walks each view's x-order and hands the sweep its survivors
-/// already sorted (BatchSweepJoinViews). The nested-loop ablation restricts
-/// with the intra-node scan kernel.
+/// locality: the entries are restricted to the intersection of the two
+/// node MBRs, sorted by (xl, index) with NaN keys last, and swept, where
+/// the restriction walks each view's x-order and hands the sweep its
+/// survivors already sorted (BatchSweepJoinViews), so no call sorts. With
+/// nested loops the pairs come out in entry order. Both modes produce the
+/// same set of pairs. `scratch`, when non-null, supplies the working
+/// buffers (a shared thread-local is used otherwise).
 std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntriesSoA(
     const NodeSoAView& node_r, const NodeSoAView& node_s,
     const NodeMatchOptions& options = NodeMatchOptions(),
     NodeMatchCounts* counts = nullptr, NodeMatchScratch* scratch = nullptr);
 
-/// Matches tree_r.node(page_r) against tree_s.node(page_s), dispatching to
-/// the SoA kernels when both trees carry a valid SoA cache (RStarTree::Seal)
-/// and to the entry-array path otherwise. Pairs and counts are identical
-/// either way.
+/// MatchNodeEntriesSoA on page `page_r` of `tree_r` and page `page_s` of
+/// `tree_s`; both trees must be sealed (RStarTree::sealed() aborts
+/// otherwise).
 std::vector<std::pair<uint32_t, uint32_t>> MatchNodePages(
     const RStarTree& tree_r, uint32_t page_r, const RStarTree& tree_s,
     uint32_t page_s, const NodeMatchOptions& options = NodeMatchOptions(),

@@ -1,7 +1,5 @@
 #include "join/sequential_join.h"
 
-#include <algorithm>
-
 #include "trace/trace_sink.h"
 
 namespace psj {
@@ -15,10 +13,14 @@ class SequentialJoiner {
  public:
   SequentialJoiner(const RStarTree& tree_r, const RStarTree& tree_s,
                    const SequentialJoinOptions& options)
-      : tree_r_(tree_r), tree_s_(tree_s), options_(options) {}
+      : cache_r_(tree_r.sealed()),
+        cache_s_(tree_s.sealed()),
+        root_r_(tree_r.root_page()),
+        root_s_(tree_s.root_page()),
+        options_(options) {}
 
   SequentialJoinResult Run() {
-    JoinPages(tree_r_.root_page(), tree_s_.root_page());
+    JoinPages(root_r_, root_s_);
     if (trace_ != nullptr) {
       trace_->SetTrackName(0, "sequential");
       trace_->Span(0, trace::Category::kTask, "sequential join", 0, clock_,
@@ -28,71 +30,58 @@ class SequentialJoiner {
   }
 
  private:
-  const RTreeNode& Fetch(const RStarTree& tree, uint32_t page) {
+  NodeSoAView Fetch(const NodeSoACache& cache, uint32_t page) {
     ++result_.node_reads;
     if (trace_ != nullptr) {
       trace_->Span(0, trace::Category::kBufferMiss, "node read", clock_,
                    clock_ + kSyntheticNodeReadCost, page);
       clock_ += kSyntheticNodeReadCost;
     }
-    return tree.node(page);
+    return cache.view(page);
   }
 
   void JoinPages(uint32_t page_r, uint32_t page_s) {
-    const RTreeNode& nr = Fetch(tree_r_, page_r);
-    const RTreeNode& ns = Fetch(tree_s_, page_s);
+    const NodeSoAView nr = Fetch(cache_r_, page_r);
+    const NodeSoAView ns = Fetch(cache_s_, page_s);
     if (nr.level > ns.level) {
       // Descend the deeper tree only, keeping sweep order by child xl.
-      const Rect other = ns.ComputeMbr();
-      for (const RTreeEntry& entry : SortedEntries(nr)) {
-        if (entry.rect.Intersects(other)) {
-          JoinPages(entry.child_page(), page_s);
+      for (const uint32_t k : ChildOrderByXl(nr)) {
+        if (nr.rects.rect(k).Intersects(ns.mbr)) {
+          JoinPages(nr.child_page(k), page_s);
         }
       }
       return;
     }
     if (ns.level > nr.level) {
-      const Rect other = nr.ComputeMbr();
-      for (const RTreeEntry& entry : SortedEntries(ns)) {
-        if (entry.rect.Intersects(other)) {
-          JoinPages(page_r, entry.child_page());
+      for (const uint32_t k : ChildOrderByXl(ns)) {
+        if (ns.rects.rect(k).Intersects(nr.mbr)) {
+          JoinPages(page_r, ns.child_page(k));
         }
       }
       return;
     }
     ++result_.node_pairs_processed;
-    const auto pairs = MatchNodePages(tree_r_, page_r, tree_s_, page_s,
-                                      options_.match, nullptr,
-                                      &match_scratch_);
+    const auto pairs = MatchNodeEntriesSoA(nr, ns, options_.match, nullptr,
+                                           &match_scratch_);
     if (trace_ != nullptr) {
       trace_->Instant(0, trace::Category::kNodePair, "node pair", clock_,
                       static_cast<int64_t>(pairs.size()), nr.level);
     }
     if (nr.is_leaf()) {
       for (const auto& [i, j] : pairs) {
-        result_.candidates.emplace_back(nr.entries[i].object_id(),
-                                        ns.entries[j].object_id());
+        result_.candidates.emplace_back(nr.ids[i], ns.ids[j]);
       }
       return;
     }
     for (const auto& [i, j] : pairs) {
-      JoinPages(nr.entries[i].child_page(), ns.entries[j].child_page());
+      JoinPages(nr.child_page(i), ns.child_page(j));
     }
   }
 
-  static std::vector<RTreeEntry> SortedEntries(const RTreeNode& node) {
-    std::vector<RTreeEntry> entries(node.entries.begin(),
-                                    node.entries.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const RTreeEntry& a, const RTreeEntry& b) {
-                if (a.rect.xl != b.rect.xl) return a.rect.xl < b.rect.xl;
-                return a.id < b.id;
-              });
-    return entries;
-  }
-
-  const RStarTree& tree_r_;
-  const RStarTree& tree_s_;
+  const NodeSoACache& cache_r_;
+  const NodeSoACache& cache_s_;
+  const uint32_t root_r_;
+  const uint32_t root_s_;
   const SequentialJoinOptions& options_;
   trace::TraceSink* const trace_ = options_.trace;
   trace::TraceTime clock_ = 0;

@@ -42,7 +42,8 @@ struct SequentialJoinResult {
 ///
 /// Used as the ground truth for the parallel algorithms (identical candidate
 /// sets) and as the t(1) reference algorithm. Trees of different heights are
-/// handled by descending the deeper tree until levels align.
+/// handled by descending the deeper tree until levels align. Both trees
+/// must be sealed (RStarTree::sealed() aborts otherwise).
 SequentialJoinResult SequentialRTreeJoin(
     const RStarTree& tree_r, const RStarTree& tree_s,
     const SequentialJoinOptions& options = SequentialJoinOptions());

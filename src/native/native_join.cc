@@ -28,6 +28,8 @@ class NativeJoiner {
                const NativeJoinConfig& config)
       : tree_r_(tree_r),
         tree_s_(tree_s),
+        cache_r_(tree_r.sealed()),
+        cache_s_(tree_s.sealed()),
         config_(config),
         num_levels_(std::max(tree_r.height(), tree_s.height())),
         pool_(config.num_threads, num_levels_) {
@@ -166,33 +168,32 @@ class NativeJoiner {
   }
 
   void ExecutePair(int id, WorkerState& w, const NodePair& pair) {
-    const RTreeNode& nr = tree_r_.node(pair.page_r);
-    const RTreeNode& ns = tree_s_.node(pair.page_s);
-    const auto matches = MatchNodePages(tree_r_, pair.page_r, tree_s_,
-                                        pair.page_s, config_.match, nullptr,
-                                        &w.scratch);
+    const NodeSoAView nr = cache_r_.view(pair.page_r);
+    const NodeSoAView ns = cache_s_.view(pair.page_s);
+    const auto matches =
+        MatchNodeEntriesSoA(nr, ns, config_.match, nullptr, &w.scratch);
     ++w.stats.node_pairs_processed;
 
     if (pair.level > 0) {
       w.children.clear();
       w.children.reserve(matches.size());
       for (const auto& [i, j] : matches) {
-        w.children.push_back(NodePair{nr.entries[i].child_page(),
-                                      ns.entries[j].child_page(),
+        w.children.push_back(NodePair{nr.child_page(i), ns.child_page(j),
                                       static_cast<int16_t>(pair.level - 1)});
       }
       pool_.PushChildren(id, w.children);
       return;
     }
     for (const auto& [i, j] : matches) {
-      w.candidates.emplace_back(nr.entries[i].object_id(),
-                                ns.entries[j].object_id());
+      w.candidates.emplace_back(nr.ids[i], ns.ids[j]);
     }
     w.stats.candidates += static_cast<int64_t>(matches.size());
   }
 
   const RStarTree& tree_r_;
   const RStarTree& tree_s_;
+  const NodeSoACache& cache_r_;
+  const NodeSoACache& cache_s_;
   const NativeJoinConfig& config_;
   const int num_levels_;
   WorkStealingPool<NodePair> pool_;

@@ -100,7 +100,8 @@ struct NativeJoinResult {
 ///
 /// The candidate set equals SequentialRTreeJoin's as a set on every input;
 /// with `config.deterministic` the whole result vector is bit-identical
-/// across runs and thread counts.
+/// across runs and thread counts. Both trees must be sealed
+/// (RStarTree::sealed() aborts otherwise).
 NativeJoinResult NativeRTreeJoin(const RStarTree& tree_r,
                                  const RStarTree& tree_s,
                                  const NativeJoinConfig& config =

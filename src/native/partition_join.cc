@@ -337,6 +337,7 @@ class GridJoin {
 }  // namespace
 
 std::vector<RTreeEntry> CollectLeafEntries(const RStarTree& tree) {
+  const NodeSoACache& cache = tree.sealed();
   std::vector<RTreeEntry> entries;
   entries.reserve(static_cast<size_t>(tree.num_data_entries()));
   // Page 0 is the metadata page; data pages are level 0.
@@ -344,11 +345,13 @@ std::vector<RTreeEntry> CollectLeafEntries(const RStarTree& tree) {
     if (tree.IsFreePage(page)) {
       continue;
     }
-    const RTreeNode& node = tree.node(page);
+    const NodeSoAView node = cache.view(page);
     if (!node.is_leaf()) {
       continue;
     }
-    entries.insert(entries.end(), node.entries.begin(), node.entries.end());
+    for (size_t i = 0; i < node.size(); ++i) {
+      entries.push_back(RTreeEntry{node.rects.rect(i), node.ids[i]});
+    }
   }
   return entries;
 }

@@ -27,6 +27,7 @@ struct PartitionJoinConfig {
 
 /// Extracts all data (leaf) entries of `tree` — (MBR, object id) — the
 /// flat input of the partition join. Entries come out in leaf-page order.
+/// Reads the sealed image, so `tree` must be sealed.
 std::vector<RTreeEntry> CollectLeafEntries(const RStarTree& tree);
 
 /// \brief The competitor baseline per *Parallel In-Memory Evaluation of

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "geo/rect.h"
@@ -22,137 +21,16 @@ struct RTreeEntry {
   uint64_t object_id() const { return id; }
 };
 
-/// \brief Entry storage of one node: an owned std::vector by default, or a
-/// borrowed slice of a tree-level entry arena after
-/// RStarTree::Seal (copy-on-write: a mutating accessor first copies the
-/// borrowed slice back into owned storage).
-///
-/// Iterators are raw pointers in both modes, so read paths are unchanged;
-/// the borrowed mode exists so SoA cache construction and bulk scans read
-/// one contiguous allocation instead of a per-node heap block.
-class EntryList {
- public:
-  using value_type = RTreeEntry;
-  using iterator = RTreeEntry*;
-  using const_iterator = const RTreeEntry*;
-
-  EntryList() = default;
-  EntryList(const EntryList& other) { assign(other.begin(), other.end()); }
-  EntryList& operator=(const EntryList& other) {
-    if (this != &other) assign(other.begin(), other.end());
-    return *this;
-  }
-  EntryList(EntryList&& other) noexcept
-      : own_(std::move(other.own_)),
-        data_(other.data_),
-        size_(other.size_),
-        borrowed_(other.borrowed_) {
-    other.Reset();
-  }
-  EntryList& operator=(EntryList&& other) noexcept {
-    if (this != &other) {
-      own_ = std::move(other.own_);
-      data_ = other.data_;
-      size_ = other.size_;
-      borrowed_ = other.borrowed_;
-      other.Reset();
-    }
-    return *this;
-  }
-  EntryList& operator=(std::vector<RTreeEntry>&& entries) {
-    own_ = std::move(entries);
-    data_ = nullptr;
-    size_ = 0;
-    borrowed_ = false;
-    return *this;
-  }
-
-  size_t size() const { return borrowed_ ? size_ : own_.size(); }
-  bool empty() const { return size() == 0; }
-  bool borrowed() const { return borrowed_; }
-
-  const_iterator begin() const { return borrowed_ ? data_ : own_.data(); }
-  const_iterator end() const { return begin() + size(); }
-  iterator begin() {
-    Thaw();
-    return own_.data();
-  }
-  iterator end() {
-    Thaw();
-    return own_.data() + own_.size();
-  }
-
-  const RTreeEntry& operator[](size_t i) const { return begin()[i]; }
-  RTreeEntry& operator[](size_t i) {
-    Thaw();
-    return own_[i];
-  }
-
-  void push_back(const RTreeEntry& entry) {
-    Thaw();
-    own_.push_back(entry);
-  }
-
-  /// `pos` must come from a mutable begin()/end() (which thawed the list).
-  iterator erase(iterator pos) {
-    const size_t i = static_cast<size_t>(pos - own_.data());
-    own_.erase(own_.begin() + static_cast<long>(i));
-    return own_.data() + i;
-  }
-
-  template <typename It>
-  void assign(It first, It last) {
-    if (borrowed_) Reset();
-    own_.assign(first, last);
-  }
-
-  void resize(size_t n) {
-    Thaw();
-    own_.resize(n);
-  }
-
-  void clear() {
-    Reset();
-    own_.clear();
-  }
-
-  /// Points the list at `count` entries of an external arena, which must
-  /// outlive every further use; owned storage is released.
-  void Borrow(const RTreeEntry* data, size_t count) {
-    own_ = std::vector<RTreeEntry>();
-    data_ = data;
-    size_ = count;
-    borrowed_ = true;
-  }
-
- private:
-  void Reset() {
-    data_ = nullptr;
-    size_ = 0;
-    borrowed_ = false;
-  }
-
-  void Thaw() {
-    if (borrowed_) {
-      own_.assign(data_, data_ + size_);
-      Reset();
-    }
-  }
-
-  std::vector<RTreeEntry> own_;
-  const RTreeEntry* data_ = nullptr;
-  size_t size_ = 0;
-  bool borrowed_ = false;
-};
-
 /// \brief An R*-tree node, the in-memory image of one 4 KB page.
 ///
 /// `level` 0 denotes a data (leaf) node; the root is at level height-1.
 /// Capacity follows the paper's entry sizes: up to 102 entries in a
-/// directory node and 26 in a data node.
+/// directory node and 26 in a data node. This is the build and persistence
+/// image — insertion, splits, page packing and the validator use it — while
+/// every query and join reads the sealed SoA image (rtree/node_soa.h).
 struct RTreeNode {
   int16_t level = 0;
-  EntryList entries;
+  std::vector<RTreeEntry> entries;
 
   bool is_leaf() const { return level == 0; }
   size_t size() const { return entries.size(); }

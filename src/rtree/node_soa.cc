@@ -1,6 +1,8 @@
 #include "rtree/node_soa.h"
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "util/check.h"
@@ -20,6 +22,7 @@ void NodeSoACache::Build(const std::vector<RTreeNode>& nodes,
     seg.offset = lanes;
     seg.order_offset = entries;
     seg.count = nodes[p].entries.size();
+    seg.level = nodes[p].level;
     PSJ_CHECK_LE(seg.count, kMaxEntries) << "entries on page" << p;
     // Same padding rule as RectBatch::Resize: at least one whole spare
     // block, so kernels may read kBlock lanes from any index <= count.
@@ -60,6 +63,19 @@ void NodeSoACache::Build(const std::vector<RTreeNode>& nodes,
       x_order_[seg.order_offset + k] = static_cast<uint8_t>(order[k]);
     }
   }
+}
+
+std::vector<uint32_t> ChildOrderByXl(const NodeSoAView& node) {
+  std::vector<uint32_t> order(node.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&node](uint32_t a, uint32_t b) {
+    const uint64_t key_a = XlSortKey(node.rects.xl[a]);
+    const uint64_t key_b = XlSortKey(node.rects.xl[b]);
+    if (key_a != key_b) return key_a < key_b;
+    if (node.ids[a] != node.ids[b]) return node.ids[a] < node.ids[b];
+    return a < b;
+  });
+  return order;
 }
 
 }  // namespace psj

@@ -12,10 +12,12 @@
 namespace psj {
 
 /// \brief One node's cached SoA image: the sentinel-padded coordinate
-/// planes (RectBatch conventions), the entry ids alongside, the node MBR
-/// precomputed with the exact ExpandToInclude fold of RTreeNode::ComputeMbr
-/// — so descent paths neither re-transpose the entries nor re-fold the MBR
-/// — and the entries' plane-sweep order.
+/// planes (RectBatch conventions), the entry ids alongside (child pages in
+/// a directory node, object ids in a data node), the node MBR precomputed
+/// with the exact ExpandToInclude fold of RTreeNode::ComputeMbr — so
+/// descent paths neither re-transpose the entries nor re-fold the MBR —
+/// the entries' plane-sweep order and the node's level. Everything a query
+/// or join asks of a node.
 struct NodeSoAView {
   RectSoAView rects;
   const uint64_t* ids = nullptr;
@@ -24,9 +26,20 @@ struct NodeSoAView {
   /// permutation SortedOrderByXl gives over `rects`, so the join sweeps a
   /// node without sorting it (BatchSweepJoinViews).
   const uint8_t* x_order = nullptr;
+  /// 0 for a data node; the root is at height()-1.
+  int16_t level = 0;
 
   size_t size() const { return rects.size; }
+  bool is_leaf() const { return level == 0; }
+  uint32_t child_page(size_t i) const { return static_cast<uint32_t>(ids[i]); }
 };
+
+/// \brief The entry indices of `node` in (xl, id) order, NaN keys last
+/// (-0.0 and +0.0 tie; full ties by index): the order in which the joins'
+/// height alignment and the simulated window query expand one node's
+/// children. A strict weak order for every double, unlike comparing the xl
+/// values themselves, which std::sort cannot use once a NaN appears.
+std::vector<uint32_t> ChildOrderByXl(const NodeSoAView& node);
 
 /// \brief Per-tree cache of every node's SoA image, built once after bulk
 /// construction (RStarTree::Seal).
@@ -53,7 +66,8 @@ class NodeSoACache {
         RectSoAView{xl_.data() + seg.offset, yl_.data() + seg.offset,
                     xu_.data() + seg.offset, yu_.data() + seg.offset,
                     seg.count, seg.padded},
-        ids_.data() + seg.offset, seg.mbr, x_order_.data() + seg.order_offset};
+        ids_.data() + seg.offset, seg.mbr, x_order_.data() + seg.order_offset,
+        seg.level};
   }
 
   size_t num_pages() const { return segments_.size(); }
@@ -65,6 +79,7 @@ class NodeSoACache {
     size_t count = 0;         // Real entries.
     size_t padded = 0;        // Lanes including the sentinel tail.
     Rect mbr = Rect::Empty();
+    int16_t level = 0;
   };
 
   std::vector<Segment> segments_;

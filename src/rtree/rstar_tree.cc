@@ -237,9 +237,6 @@ void RStarTree::Seal() {
   // (the serving layer requires sealed trees); steady_clock is legal here —
   // the no-wall-clock lint rule covers only the simulated layers.
   const auto start = std::chrono::steady_clock::now();
-  if (options_.arena_entry_storage) {
-    CompactEntryStorage();
-  }
   soa_cache_.Build(nodes_, is_free_);
   soa_valid_ = true;
   phase_ = TreePhase::kSealed;
@@ -248,27 +245,12 @@ void RStarTree::Seal() {
                           .count();
 }
 
-void RStarTree::CompactEntryStorage() {
-  size_t total = 0;
-  for (uint32_t p = 1; p < nodes_.size(); ++p) {
-    if (!is_free_[p]) total += nodes_[p].entries.size();
-  }
-  std::vector<RTreeEntry> arena;
-  arena.reserve(total);  // Exact, so the slices below never move.
-  std::vector<size_t> offsets(nodes_.size(), 0);
-  for (uint32_t p = 1; p < nodes_.size(); ++p) {
-    if (is_free_[p]) continue;
-    offsets[p] = arena.size();
-    const EntryList& entries = nodes_[p].entries;
-    arena.insert(arena.end(), entries.begin(), entries.end());
-  }
-  for (uint32_t p = 1; p < nodes_.size(); ++p) {
-    if (is_free_[p]) continue;
-    nodes_[p].entries.Borrow(arena.data() + offsets[p],
-                             nodes_[p].entries.size());
-  }
-  // Replace the old arena only after every node points into the new one.
-  entry_arena_ = std::move(arena);
+const NodeSoACache& RStarTree::sealed() const {
+  PSJ_CHECK(soa_valid_) << "tree" << tree_id_
+                        << "is not sealed: queries and joins read the "
+                           "sealed node image, so call RStarTree::Seal() "
+                           "after the last mutation";
+  return soa_cache_;
 }
 
 bool RStarTree::IsFreePage(uint32_t page_no) const {
@@ -845,40 +827,22 @@ bool RStarTree::Delete(const Rect& rect, uint64_t oid) {
 }
 
 std::vector<uint64_t> RStarTree::WindowQuery(const Rect& window) const {
+  const NodeSoACache& cache = sealed();
   std::vector<uint64_t> result;
   std::vector<uint32_t> stack = {root_page_};
-  // Per-node entry filtering runs on the batched SoA clip kernel; the hit
-  // indices come back ascending, preserving the scalar traversal order.
-  // Sealed trees scan their cached node planes in place; unsealed trees
-  // transpose each node into a scratch batch first — identical results.
-  thread_local RectBatch batch;
+  // Per-node entry filtering runs the intra-node scan kernel over the
+  // node's planes in place; the hit indices come back ascending,
+  // preserving the scalar traversal order.
   thread_local std::vector<uint32_t> hits;
-  const NodeSoACache* cache = soa();
   while (!stack.empty()) {
-    const uint32_t page = stack.back();
+    const NodeSoAView node = cache.view(stack.back());
     stack.pop_back();
-    const RTreeNode& n = node(page);
-    if (cache != nullptr) {
-      const NodeSoAView v = cache->view(page);
-      ScanIntersecting(v.rects, window, &hits);
-      for (const uint32_t k : hits) {
-        if (n.is_leaf()) {
-          result.push_back(v.ids[k]);
-        } else {
-          stack.push_back(static_cast<uint32_t>(v.ids[k]));
-        }
-      }
-      continue;
-    }
-    batch.AssignProjected(n.entries, [](const RTreeEntry& e) -> const Rect& {
-      return e.rect;
-    });
-    FilterIntersecting(batch, window, &hits);
+    ScanIntersecting(node.rects, window, &hits);
     for (const uint32_t k : hits) {
-      if (n.is_leaf()) {
-        result.push_back(n.entries[k].id);
+      if (node.is_leaf()) {
+        result.push_back(node.ids[k]);
       } else {
-        stack.push_back(n.entries[k].child_page());
+        stack.push_back(node.child_page(k));
       }
     }
   }
@@ -887,6 +851,7 @@ std::vector<uint64_t> RStarTree::WindowQuery(const Rect& window) const {
 
 std::vector<RStarTree::Neighbor> RStarTree::KnnQuery(const Point& query,
                                                      size_t k) const {
+  const NodeSoACache& cache = sealed();
   std::vector<Neighbor> result;
   if (k == 0) {
     return result;
@@ -915,13 +880,13 @@ std::vector<RStarTree::Neighbor> RStarTree::KnnQuery(const Point& query,
       result.push_back(Neighbor{item.object_id, std::sqrt(item.dist_sq)});
       continue;
     }
-    const RTreeNode& n = node(item.page);
-    for (const RTreeEntry& entry : n.entries) {
-      const double dist_sq = MinDistSq(query, entry.rect);
-      if (n.is_leaf()) {
-        heap.push(HeapItem{dist_sq, true, 0, entry.object_id()});
+    const NodeSoAView node = cache.view(item.page);
+    for (size_t i = 0; i < node.size(); ++i) {
+      const double dist_sq = MinDistSq(query, node.rects.rect(i));
+      if (node.is_leaf()) {
+        heap.push(HeapItem{dist_sq, true, 0, node.ids[i]});
       } else {
-        heap.push(HeapItem{dist_sq, false, entry.child_page(), 0});
+        heap.push(HeapItem{dist_sq, false, node.child_page(i), 0});
       }
     }
   }

@@ -42,10 +42,6 @@ struct RTreeOptions {
   bool enable_forced_reinsert = true;
   SplitAlgorithm split_algorithm = SplitAlgorithm::kRStar;
   ChooseSubtreePolicy choose_subtree = ChooseSubtreePolicy::kRStar;
-  /// Seal() compacts every node's entries into one tree-level arena
-  /// (replacing the per-node heap allocations) before building the SoA
-  /// cache; disabled for the allocation-count ablation.
-  bool arena_entry_storage = true;
 
   /// The original R-tree of [Gut 84]: quadratic split, least-enlargement
   /// subtree choice, no forced reinsertion, 40 % minimum fill.
@@ -105,7 +101,8 @@ class RStarTree {
   /// (tree condensation).
   bool Delete(const Rect& rect, uint64_t oid);
 
-  /// Object ids whose MBR intersects `window`, in unspecified order.
+  /// Object ids whose MBR intersects `window`, in unspecified order. Reads
+  /// the sealed image, so it aborts on an unsealed tree (see sealed()).
   std::vector<uint64_t> WindowQuery(const Rect& window) const;
 
   /// One result of a nearest-neighbor query: the object id and its MBR's
@@ -119,7 +116,7 @@ class RStarTree {
   /// (ties by object id), computed with best-first branch-and-bound
   /// traversal. Returns fewer than k when the tree is smaller. This is the
   /// filter step of the "neighbor queries" the paper's conclusions name as
-  /// future work.
+  /// future work. Reads the sealed image, like WindowQuery.
   std::vector<Neighbor> KnnQuery(const Point& query, size_t k) const;
 
   // -- Structure accessors (used by the join algorithms) --
@@ -132,17 +129,19 @@ class RStarTree {
   int64_t num_data_entries() const { return num_data_entries_; }
   const RTreeOptions& options() const { return options_; }
 
+  /// The build and persistence image of one node. Queries and joins read
+  /// sealed().view(page_no) instead.
   const RTreeNode& node(uint32_t page_no) const;
   Rect root_mbr() const { return node(root_page_).ComputeMbr(); }
 
-  /// \brief Freezes the tree for querying: compacts node entry storage into
-  /// one arena (when options().arena_entry_storage) and (re)builds the SoA
-  /// node cache the descent hot paths read.
+  /// \brief Freezes the tree for querying: (re)builds the SoA image of
+  /// every node, which is the only node representation queries and joins
+  /// read.
   ///
   /// Called by the bulk builders (FromNodes, BuildTreeFromObjects); any
-  /// later mutation invalidates the cache — soa() returns null again —
-  /// until the next Seal(). Sealing changes no query result: consumers fall
-  /// back to the entry arrays when the cache is absent, bit-identically.
+  /// later mutation invalidates the image — soa() returns null again and
+  /// sealed() aborts — until the next Seal(). There is no fallback: every
+  /// read path requires a sealed tree.
   ///
   /// Sealing also enters the kSealed phase of the tree's lifecycle: every
   /// structural mutation (Insert/Delete and the private doorways they go
@@ -162,8 +161,8 @@ class RStarTree {
   enum class TreePhase { kMutable, kSealed };
   TreePhase phase() const { return phase_; }
 
-  /// Wall-clock duration of the most recent Seal() (arena compaction + SoA
-  /// build), in microseconds; 0 if never sealed. Kept here — not in the
+  /// Wall-clock duration of the most recent Seal() (the SoA build), in
+  /// microseconds; 0 if never sealed. Kept here — not in the
   /// obs layer — so sealing needs no registry dependency; consumers that
   /// carry one (the CLI's serve path) record it as the `rtree_seal_us`
   /// gauge.
@@ -172,6 +171,11 @@ class RStarTree {
   /// The SoA image of every node, or null if the tree was mutated since the
   /// last Seal() (or never sealed).
   const NodeSoACache* soa() const { return soa_valid_ ? &soa_cache_ : nullptr; }
+
+  /// The SoA image of every node, for a reader that requires it: aborts if
+  /// the tree was mutated since the last Seal() (or never sealed). Every
+  /// query and join calls it once on entry.
+  const NodeSoACache& sealed() const;
 
   /// One past the largest page number in use (page 0 is the metadata page).
   uint32_t num_pages() const { return static_cast<uint32_t>(nodes_.size()); }
@@ -209,10 +213,6 @@ class RStarTree {
   void FreeNode(uint32_t page_no);
 
   RTreeNode& mutable_node(uint32_t page_no);
-
-  /// Moves every live node's entries into entry_arena_ (one contiguous
-  /// allocation) and re-points the nodes at their slices.
-  void CompactEntryStorage();
 
   /// Chooses the insertion path (root → node at `target_level`) for `rect`,
   /// applying the R* ChooseSubtree criteria.
@@ -267,8 +267,6 @@ class RStarTree {
   uint32_t root_page_ = 0;
   int height_ = 1;
   int64_t num_data_entries_ = 0;
-  /// Backing storage of the nodes' borrowed EntryLists after Seal().
-  std::vector<RTreeEntry> entry_arena_;
   NodeSoACache soa_cache_;
   /// The cache matches nodes_; cleared by every mutation doorway
   /// (mutable_node / AllocateNode / FreeNode), set only by Seal().

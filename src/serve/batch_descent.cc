@@ -47,9 +47,7 @@ void BatchWindowQueries(const RStarTree& tree, std::span<const Rect> windows,
                         std::span<const int64_t> deadline_micros,
                         const NowMicrosFn& now_micros, BatchWindowOutput* out,
                         DescentStats* stats) {
-  const NodeSoACache* cache = tree.soa();
-  PSJ_CHECK(cache != nullptr)
-      << "BatchWindowQueries requires a sealed tree (RStarTree::Seal)";
+  const NodeSoACache& cache = tree.sealed();
   PSJ_CHECK(deadline_micros.empty() ||
             deadline_micros.size() == windows.size());
 
@@ -106,8 +104,7 @@ void BatchWindowQueries(const RStarTree& tree, std::span<const Rect> windows,
       continue;
     }
 
-    const RTreeNode& node = tree.node(item.page);
-    const NodeSoAView view = cache->view(item.page);
+    const NodeSoAView view = cache.view(item.page);
 
     // Below this subset size the transposed scan stops paying: it runs one
     // (short) subset scan per node entry, so a nearly-empty subset costs
@@ -122,7 +119,7 @@ void BatchWindowQueries(const RStarTree& tree, std::span<const Rect> windows,
         ++local.node_scans;
         ScanIntersecting(view.rects, windows[q], &sc.hits);
         local.entry_tests += static_cast<int64_t>(view.size());
-        if (node.is_leaf()) {
+        if (view.is_leaf()) {
           for (const uint32_t e : sc.hits) {
             out->ids[q].push_back(view.ids[e]);
           }
@@ -130,7 +127,7 @@ void BatchWindowQueries(const RStarTree& tree, std::span<const Rect> windows,
         }
         for (const uint32_t e : sc.hits) {
           WorkItem child;
-          child.page = static_cast<uint32_t>(view.ids[e]);
+          child.page = view.child_page(e);
           child.qids = sc.TakeVector();
           child.qids.push_back(q);
           sc.stack.push_back(std::move(child));
@@ -152,7 +149,7 @@ void BatchWindowQueries(const RStarTree& tree, std::span<const Rect> windows,
     ++local.node_scans;
     local.entry_tests +=
         static_cast<int64_t>(view.size() * item.qids.size());
-    const bool leaf = node.is_leaf();
+    const bool leaf = view.is_leaf();
     for (size_t e = 0; e < view.size(); ++e) {
       ScanIntersecting(sview, view.rects.rect(e), &sc.hits);
       if (sc.hits.empty()) {
@@ -167,7 +164,7 @@ void BatchWindowQueries(const RStarTree& tree, std::span<const Rect> windows,
         continue;
       }
       WorkItem child;
-      child.page = static_cast<uint32_t>(view.ids[e]);
+      child.page = view.child_page(e);
       child.qids = sc.TakeVector();
       for (const uint32_t q : sc.hits) {
         child.qids.push_back(item.qids[q]);
@@ -192,10 +189,8 @@ void RegionJoinQuery(const RStarTree& tree_r, const RStarTree& tree_s,
                      const Rect& region, int64_t deadline_micros,
                      const NowMicrosFn& now_micros, RegionJoinOutput* out,
                      DescentStats* stats) {
-  const NodeSoACache* cache_r = tree_r.soa();
-  const NodeSoACache* cache_s = tree_s.soa();
-  PSJ_CHECK(cache_r != nullptr && cache_s != nullptr)
-      << "RegionJoinQuery requires sealed trees (RStarTree::Seal)";
+  const NodeSoACache& cache_r = tree_r.sealed();
+  const NodeSoACache& cache_s = tree_s.sealed();
 
   out->pairs.clear();
   out->complete = true;
@@ -216,21 +211,19 @@ void RegionJoinQuery(const RStarTree& tree_r, const RStarTree& tree_s,
     page_stack.pop_back();
     ++local.nodes_visited;
 
-    const RTreeNode& nr = tree_r.node(page_r);
-    const RTreeNode& ns = tree_s.node(page_s);
-    const NodeSoAView vr = cache_r->view(page_r);
-    const NodeSoAView vs = cache_s->view(page_s);
+    const NodeSoAView vr = cache_r.view(page_r);
+    const NodeSoAView vs = cache_s.view(page_s);
 
     // Height mismatch: descend the deeper tree only, pruning subtrees
     // whose entry cannot hold a qualifying pair (no common point with the
     // other node's MBR and the region).
-    if (nr.level != ns.level) {
-      const bool r_deeper = nr.level > ns.level;
+    if (vr.level != vs.level) {
+      const bool r_deeper = vr.level > vs.level;
       const NodeSoAView& deep = r_deeper ? vr : vs;
       const Rect other = r_deeper ? vs.mbr : vr.mbr;
       for (size_t e = 0; e < deep.size(); ++e) {
         if (TripleIntersects(deep.rects.rect(e), other, region)) {
-          const auto child = static_cast<uint32_t>(deep.ids[e]);
+          const uint32_t child = deep.child_page(e);
           page_stack.emplace_back(r_deeper ? child : page_r,
                                   r_deeper ? page_s : child);
         }
@@ -246,7 +239,7 @@ void RegionJoinQuery(const RStarTree& tree_r, const RStarTree& tree_s,
       continue;
     }
     ++local.node_scans;
-    const bool leaf = nr.is_leaf();
+    const bool leaf = vr.is_leaf();
     local.entry_tests += static_cast<int64_t>(BatchSweepJoinViews(
         match_scratch, vr.rects, vr.x_order, vs.rects, vs.x_order, &clip,
         [&](size_t i, size_t j) {
@@ -260,8 +253,7 @@ void RegionJoinQuery(const RStarTree& tree_r, const RStarTree& tree_s,
           if (leaf) {
             out->pairs.emplace_back(vr.ids[i], vs.ids[j]);
           } else {
-            page_stack.emplace_back(static_cast<uint32_t>(vr.ids[i]),
-                                    static_cast<uint32_t>(vs.ids[j]));
+            page_stack.emplace_back(vr.child_page(i), vs.child_page(j));
           }
         }));
   }

@@ -44,7 +44,7 @@ struct BatchWindowOutput {
 };
 
 /// \brief One shared traversal answering a whole batch of window queries
-/// over a sealed tree (tree.soa() must be non-null).
+/// over a sealed tree (RStarTree::sealed() aborts otherwise).
 ///
 /// The descent keeps a frontier of (node, query subset) items starting at
 /// (root, all queries). Each visited node is scanned ONCE against its

@@ -83,18 +83,19 @@ class QueryStream {
 /// Data-entry MBRs indexed by object id, read off the sealed tree's leaves
 /// (ids are dense), for the join-region oracle's region filter.
 std::vector<Rect> CollectDataRects(const RStarTree& tree) {
+  const NodeSoACache& cache = tree.sealed();
   std::vector<Rect> rects(static_cast<size_t>(tree.num_data_entries()),
                           Rect::Empty());
   for (uint32_t page = 1; page < tree.num_pages(); ++page) {
     if (tree.IsFreePage(page)) {
       continue;
     }
-    const RTreeNode& node = tree.node(page);
+    const NodeSoAView node = cache.view(page);
     if (!node.is_leaf()) {
       continue;
     }
-    for (const RTreeEntry& entry : node.entries) {
-      rects[static_cast<size_t>(entry.id)] = entry.rect;
+    for (size_t i = 0; i < node.size(); ++i) {
+      rects[static_cast<size_t>(node.ids[i])] = node.rects.rect(i);
     }
   }
   return rects;

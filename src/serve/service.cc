@@ -61,8 +61,10 @@ SpatialQueryService::SpatialQueryService(const RStarTree* tree_r,
       config_(std::move(config)),
       epoch_(std::chrono::steady_clock::now()) {
   PSJ_CHECK(tree_r_ != nullptr && tree_s_ != nullptr);
-  PSJ_CHECK(tree_r_->soa() != nullptr && tree_s_->soa() != nullptr)
-      << "the service queries sealed trees; call RStarTree::Seal() first";
+  // The service queries the sealed images; sealed() aborts on an unsealed
+  // tree here rather than in a worker.
+  tree_r_->sealed();
+  tree_s_->sealed();
   PSJ_CHECK_GT(config_.num_threads, 0);
   PSJ_CHECK_GT(config_.max_batch, 0u);
   PSJ_CHECK_GE(config_.trace_sample_every, 0);

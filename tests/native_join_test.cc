@@ -146,6 +146,7 @@ TEST(NativeJoinTest, PartitionGridDimensionDoesNotChangeTheSet) {
 TEST(NativeJoinTest, EmptyInputsYieldNothing) {
   JoinFixture fixture(300, 20, 24);
   RStarTree empty(9);
+  empty.Seal();
   NativeJoinConfig config;
   config.num_threads = 4;
   EXPECT_TRUE(
@@ -331,6 +332,8 @@ TEST(NativeJoinTest, PartitionHandlesInfiniteAndHugeCoordinates) {
       tree_r.Insert(cases[c][k], 1000 + k);
       tree_s.Insert(cases[c][k], 2000 + k);
     }
+    tree_r.Seal();
+    tree_s.Seal();
     const std::vector<RTreeEntry> r = CollectLeafEntries(tree_r);
     const std::vector<RTreeEntry> s = CollectLeafEntries(tree_s);
     const std::vector<Pair> sequential =
@@ -408,6 +411,8 @@ TEST(NativeJoinTest, DuplicateHeavyInputMatchesSequential) {
     tree_r.Insert(Rect(at, at, at + 0.002, at + 0.002), 1000 + i);
     tree_s.Insert(Rect(at + 0.001, at, at + 0.003, at + 0.002), 1000 + i);
   }
+  tree_r.Seal();
+  tree_s.Seal();
   const auto sequential_result = SequentialRTreeJoin(tree_r, tree_s);
   const auto sequential = AsSet(sequential_result.candidates);
   ASSERT_GE(sequential.size(), 150u * 150u);

@@ -7,6 +7,7 @@
 #include "geo/plane_sweep.h"
 #include "join/node_match.h"
 #include "util/rng.h"
+#include "node_match_oracle.h"
 
 namespace psj {
 namespace {
@@ -31,6 +32,15 @@ std::set<Pair> AsSet(const std::vector<Pair>& pairs) {
   return std::set<Pair>(pairs.begin(), pairs.end());
 }
 
+// Matches two standalone nodes through the sealed-image kernel: the nodes
+// sit on pages 1 and 2 of a two-node cache.
+std::vector<Pair> Match(const RTreeNode& a, const RTreeNode& b,
+                        const NodeMatchOptions& options = NodeMatchOptions(),
+                        NodeMatchCounts* counts = nullptr) {
+  const NodeSoACache cache = CacheOf({a, b});
+  return MatchNodeEntriesSoA(cache.view(1), cache.view(2), options, counts);
+}
+
 TEST(NodeMatchTest, AllFourModeCombinationsAgree) {
   Rng rng(1);
   const RTreeNode a = RandomNode(rng, 0, 26, 0.1);
@@ -42,7 +52,17 @@ TEST(NodeMatchTest, AllFourModeCombinationsAgree) {
       NodeMatchOptions options;
       options.use_search_space_restriction = restriction;
       options.use_plane_sweep = sweep;
-      const auto pairs = AsSet(MatchNodeEntries(a, b, options));
+      NodeMatchCounts counts;
+      const auto got = Match(a, b, options, &counts);
+      // Each mode equals the scalar oracle exactly: pairs, order, counts.
+      const ScalarMatch expected = ScalarNodeMatch(a, b, options);
+      EXPECT_EQ(got, expected.pairs);
+      EXPECT_EQ(counts.entries_considered_r,
+                expected.counts.entries_considered_r);
+      EXPECT_EQ(counts.entries_considered_s,
+                expected.counts.entries_considered_s);
+      EXPECT_EQ(counts.pairs_tested, expected.counts.pairs_tested);
+      const auto pairs = AsSet(got);
       if (first) {
         reference = pairs;
         first = false;
@@ -60,7 +80,7 @@ TEST(NodeMatchTest, DisjointNodesShortCircuitUnderRestriction) {
   const RTreeNode a = RandomNode(rng, 0, 20, 0.05, 0.0);
   const RTreeNode b = RandomNode(rng, 0, 20, 0.05, 10.0);  // Far away.
   NodeMatchCounts counts;
-  const auto pairs = MatchNodeEntries(a, b, NodeMatchOptions(), &counts);
+  const auto pairs = Match(a, b, NodeMatchOptions(), &counts);
   EXPECT_TRUE(pairs.empty());
   EXPECT_EQ(counts.entries_considered_r, 0u);
   EXPECT_EQ(counts.entries_considered_s, 0u);
@@ -73,11 +93,11 @@ TEST(NodeMatchTest, RestrictionReducesConsideredEntries) {
   const RTreeNode b = RandomNode(rng, 1, 60, 0.02, 0.9);   // x in [0.9, 1.9].
   NodeMatchOptions with;
   NodeMatchCounts counts_with;
-  MatchNodeEntries(a, b, with, &counts_with);
+  Match(a, b, with, &counts_with);
   NodeMatchOptions without;
   without.use_search_space_restriction = false;
   NodeMatchCounts counts_without;
-  MatchNodeEntries(a, b, without, &counts_without);
+  Match(a, b, without, &counts_without);
   EXPECT_LT(counts_with.entries_considered_r,
             counts_without.entries_considered_r);
   EXPECT_EQ(counts_without.entries_considered_r, 60u);
@@ -88,14 +108,14 @@ TEST(NodeMatchTest, EmptyNodesYieldNothing) {
   a.level = 0;
   RTreeNode b;
   b.level = 0;
-  EXPECT_TRUE(MatchNodeEntries(a, b).empty());
+  EXPECT_TRUE(Match(a, b).empty());
 }
 
 TEST(NodeMatchTest, SweepOutputIsInSweepOrder) {
   Rng rng(4);
   const RTreeNode a = RandomNode(rng, 0, 25, 0.2);
   const RTreeNode b = RandomNode(rng, 0, 25, 0.2);
-  const auto pairs = MatchNodeEntries(a, b);
+  const auto pairs = Match(a, b);
   double last_anchor = -1e300;
   for (const auto& [i, j] : pairs) {
     // The sweep anchor of a pair is the rectangle with the smaller xl.
@@ -118,7 +138,7 @@ TEST(NodeMatchTest, SweepCountsExactYTests) {
     NodeMatchOptions options;
     options.use_search_space_restriction = restriction;
     NodeMatchCounts counts;
-    MatchNodeEntries(a, b, options, &counts);
+    Match(a, b, options, &counts);
 
     const Rect clip = a.ComputeMbr().Intersection(b.ComputeMbr());
     std::vector<Rect> rects_r;
@@ -151,7 +171,7 @@ TEST(NodeMatchTest, NestedLoopCountsAllTests) {
   options.use_plane_sweep = false;
   options.use_search_space_restriction = false;
   NodeMatchCounts counts;
-  MatchNodeEntries(a, b, options, &counts);
+  Match(a, b, options, &counts);
   EXPECT_EQ(counts.pairs_tested, 120u);
 }
 

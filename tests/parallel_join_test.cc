@@ -432,6 +432,19 @@ TEST_F(ParallelJoinTest, DuplicateTreeIdsRejected) {
   EXPECT_TRUE(join.Run(config).status().IsInvalidArgument());
 }
 
+TEST_F(ParallelJoinTest, UnsealedTreeIsAFailedPrecondition) {
+  RStarTree unsealed(7);
+  unsealed.Insert(Rect(0.1, 0.1, 0.2, 0.2), 1);
+  ParallelJoinConfig config;
+  config.compute_answers = false;
+  ParallelSpatialJoin join_r(tree_r_, &unsealed, nullptr, nullptr);
+  EXPECT_TRUE(join_r.Run(config).status().IsFailedPrecondition());
+  ParallelSpatialJoin join_s(&unsealed, tree_s_, nullptr, nullptr);
+  EXPECT_TRUE(join_s.Run(config).status().IsFailedPrecondition());
+  unsealed.Seal();
+  EXPECT_TRUE(join_r.Run(config).ok());
+}
+
 TEST_F(ParallelJoinTest, SelfJoinRuns) {
   ParallelSpatialJoin join(tree_r_, tree_r_, store_r_, store_r_);
   ParallelJoinConfig config = ParallelJoinConfig::Gd();

@@ -172,6 +172,17 @@ TEST_F(ParallelWindowQueryTest, InvalidInputsRejected) {
   EXPECT_TRUE(no_store.Run(kWindow, wants_answers).ok());
 }
 
+TEST_F(ParallelWindowQueryTest, UnsealedTreeIsAFailedPrecondition) {
+  RStarTree unsealed(7);
+  unsealed.Insert(Rect(0.1, 0.1, 0.2, 0.2), 1);
+  ParallelWindowQuery query(&unsealed, nullptr);
+  WindowQueryConfig config;
+  config.compute_answers = false;
+  EXPECT_TRUE(query.Run(kWindow, config).status().IsFailedPrecondition());
+  unsealed.Seal();
+  EXPECT_TRUE(query.Run(kWindow, config).ok());
+}
+
 TEST_F(ParallelWindowQueryTest, SharedNothingAndHilbertPreserveResults) {
   const std::set<uint64_t> expected = ExpectedCandidates(kWindow);
   for (BufferType buffer : {BufferType::kGlobal, BufferType::kSharedNothing}) {

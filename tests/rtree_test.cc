@@ -70,6 +70,7 @@ TEST(RStarTreeTest, EmptyTreeIsValid) {
   EXPECT_EQ(tree.height(), 1);
   EXPECT_EQ(tree.num_data_entries(), 0);
   EXPECT_TRUE(ValidateRTree(tree).ok());
+  tree.Seal();
   EXPECT_TRUE(tree.WindowQuery(Rect(0, 0, 1, 1)).empty());
 }
 
@@ -77,6 +78,7 @@ TEST(RStarTreeTest, SingleInsertIsQueryable) {
   RStarTree tree(1, SmallOptions());
   tree.Insert(Rect(0.1, 0.1, 0.2, 0.2), 42);
   EXPECT_EQ(tree.num_data_entries(), 1);
+  tree.Seal();
   const auto hits = tree.WindowQuery(Rect(0, 0, 1, 1));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 42u);
@@ -105,6 +107,7 @@ TEST(RStarTreeTest, WindowQueryMatchesLinearScan) {
     rects.push_back(RandomRect(rng));
     tree.Insert(rects.back(), i);
   }
+  tree.Seal();
   for (int q = 0; q < 50; ++q) {
     const Rect window = RandomRect(rng, 0.4);
     std::set<uint64_t> expected;
@@ -118,16 +121,15 @@ TEST(RStarTreeTest, WindowQueryMatchesLinearScan) {
   }
 }
 
-// The whole plane is the one window the batch kernels' padding sentinels
-// satisfy; an unsealed tree (which filters each node on a scratch batch)
-// must still report every id exactly once.
-TEST(RStarTreeTest, WholePlaneWindowOnUnsealedTreeReturnsEveryIdOnce) {
+// The whole plane is the one window the node scan's padding sentinels
+// satisfy; the scan must still report every id exactly once.
+TEST(RStarTreeTest, WholePlaneWindowReturnsEveryIdOnce) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(6);
   for (const uint64_t n : {1, 5, 8, 9, 61, 300}) {
     RStarTree tree(1, SmallOptions());
     for (uint64_t i = 0; i < n; ++i) tree.Insert(RandomRect(rng), i);
-    ASSERT_EQ(tree.soa(), nullptr);
+    tree.Seal();
     auto hits = tree.WindowQuery(Rect(-kInf, -kInf, kInf, kInf));
     std::sort(hits.begin(), hits.end());
     std::vector<uint64_t> expected(n);
@@ -148,6 +150,7 @@ TEST(RStarTreeTest, DeleteRemovesOnlyTargetedEntry) {
   EXPECT_FALSE(tree.Delete(rects[77], 77));  // Already gone.
   EXPECT_EQ(tree.num_data_entries(), 199);
   EXPECT_TRUE(ValidateRTree(tree).ok());
+  tree.Seal();
   const auto hits = tree.WindowQuery(rects[77]);
   EXPECT_EQ(std::count(hits.begin(), hits.end(), 77u), 0);
 }
@@ -194,6 +197,7 @@ TEST(RStarTreeTest, MixedInsertDeleteWorkloadStaysConsistent) {
     }
   }
   // Every live object findable, in full.
+  tree.Seal();
   auto hits = tree.WindowQuery(Rect(0, 0, 2, 2));
   EXPECT_EQ(hits.size(), live.size());
 }
@@ -205,8 +209,11 @@ TEST(RStarTreeTest, DuplicateRectsWithDistinctIdsSupported) {
     tree.Insert(r, i);
   }
   EXPECT_TRUE(ValidateRTree(tree).ok());
+  tree.Seal();
   EXPECT_EQ(tree.WindowQuery(r).size(), 30u);
+  tree.Thaw();
   EXPECT_TRUE(tree.Delete(r, 17));
+  tree.Seal();
   EXPECT_EQ(tree.WindowQuery(r).size(), 29u);
 }
 
@@ -262,6 +269,7 @@ TEST(RStarTreeTest, PageFileRoundTrip) {
   // Page for page the same tree, free pages included.
   EXPECT_EQ(TreeFingerprint(*loaded), TreeFingerprint(tree));
   // Same query answers.
+  tree.Seal();
   for (int q = 0; q < 20; ++q) {
     const Rect window = RandomRect(rng, 0.3);
     auto a = tree.WindowQuery(window);
@@ -317,6 +325,7 @@ TEST(RStarTreeKnnTest, MatchesLinearScan) {
     rects.push_back(RandomRect(rng, 0.02));
     tree.Insert(rects.back(), i);
   }
+  tree.Seal();
   for (int q = 0; q < 20; ++q) {
     const Point query{rng.NextDouble(), rng.NextDouble()};
     // Reference: sort all entries by (mindist, id).
@@ -340,8 +349,11 @@ TEST(RStarTreeKnnTest, MatchesLinearScan) {
 
 TEST(RStarTreeKnnTest, EdgeCases) {
   RStarTree tree(1, SmallOptions());
+  tree.Seal();
   EXPECT_TRUE(tree.KnnQuery(Point{0.5, 0.5}, 5).empty());  // Empty tree.
+  tree.Thaw();
   tree.Insert(Rect(0.1, 0.1, 0.2, 0.2), 7);
+  tree.Seal();
   EXPECT_TRUE(tree.KnnQuery(Point{0.5, 0.5}, 0).empty());  // k = 0.
   const auto one = tree.KnnQuery(Point{0.15, 0.15}, 3);
   ASSERT_EQ(one.size(), 1u);  // Fewer entries than k.
@@ -355,6 +367,7 @@ TEST(RStarTreeKnnTest, KEqualsTreeSizeReturnsAll) {
   for (uint64_t i = 0; i < 100; ++i) {
     tree.Insert(RandomRect(rng), i);
   }
+  tree.Seal();
   const auto all = tree.KnnQuery(Point{0.5, 0.5}, 100);
   EXPECT_EQ(all.size(), 100u);
   std::set<uint64_t> ids;
@@ -376,6 +389,7 @@ TEST(RStarTreeKnnTest, PaperFanoutLargeTreeMatchesLinearScan) {
     tree.Insert(rects.back(), i);
   }
   ASSERT_GE(tree.height(), 2);
+  tree.Seal();
   for (int q = 0; q < 10; ++q) {
     const Point query{rng.NextDouble(), rng.NextDouble()};
     std::vector<double> reference;

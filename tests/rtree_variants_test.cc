@@ -43,6 +43,7 @@ TEST_P(RTreeVariantTest, BuildsValidTreeWithCorrectQueries) {
   }
   ASSERT_TRUE(ValidateRTree(tree).ok());
   EXPECT_EQ(tree.num_data_entries(), 800);
+  tree.Seal();
   // Queries agree with a linear scan.
   for (int q = 0; q < 25; ++q) {
     const Rect window = RandomRect(rng, 0.3);

@@ -78,6 +78,7 @@ TEST(SequentialJoinTest, TreesOfDifferentHeights) {
 TEST(SequentialJoinTest, EmptyTreeYieldsNothing) {
   JoinFixture fixture(300, 20, 15);
   RStarTree empty(9);
+  empty.Seal();
   const auto result = SequentialRTreeJoin(fixture.tree_r, empty);
   EXPECT_TRUE(result.candidates.empty());
 }

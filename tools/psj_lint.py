@@ -45,6 +45,12 @@ leak into simulated results.
                        operation must spell its order explicitly — a bare
                        (seq_cst) default there is either an unjustified
                        fence or an undocumented requirement.
+  sealed-reads         The engines (src/core, src/join, src/native,
+                       src/serve) read nodes only through the sealed SoA
+                       image (RStarTree::sealed()): no .node( / ->node(
+                       call and no RTreeNode there. The AoS node is the
+                       build and persistence image of src/rtree; RTreeEntry
+                       stays legal as the partition join's input type.
   metric-names         Every metric registered through the obs registry
                        (DefineCounter/DefineGauge/DefineHistogram with a
                        string literal) is snake_case with a unit suffix:
@@ -150,6 +156,11 @@ PHASE_THAW = re.compile(r"\b(\w+)(?:\.|->)Thaw\(\)")
 PHASE_MUTATOR = re.compile(
     r"\b(\w+)(?:\.|->)(Insert|Delete|mutable_node|AllocateNode|FreeNode)\("
 )
+
+# sealed-reads: the engine directories read the sealed node image only.
+# Directory prefixes, "/"-anchored.
+SEALED_READ_DIRS = ("src/core/", "src/join/", "src/native/", "src/serve/")
+SEALED_READ_TOKEN = re.compile(r"(?:\.|->)node\(|\bRTreeNode\b")
 
 # memory-order-audit: explicit orders need a rationale comment; the
 # native-threaded directories may not fall back to the seq_cst default.
@@ -274,6 +285,9 @@ def lint_file(path, rel, errors):
                 sealed.add(match.group(1))
             for match in PHASE_THAW.finditer(code):
                 sealed.discard(match.group(1))
+        if rel.startswith(SEALED_READ_DIRS):
+            for match in SEALED_READ_TOKEN.finditer(code):
+                report("sealed-reads", match.group(0))
         if rel.startswith(MEMORY_ORDER_DIRS):
             explicit = MEMORY_ORDER_EXPLICIT.search(code)
             if explicit and not has_order_rationale(raw_lines, lineno - 1):
@@ -408,6 +422,27 @@ def self_test():
             "void F() {\n  a.Seal();\n  b.Insert(r, 1);\n}\n",
             None,
         ),
+        # sealed-reads: an engine reading the AoS node is a violation…
+        (
+            "src/native/x.cc",
+            "const RTreeNode& n = tree_r_.node(pair.page_r);\n",
+            "sealed-reads",
+        ),
+        (
+            "src/core/x.cc",
+            "Rect mbr = tree->node(p).ComputeMbr();\n",
+            "sealed-reads",
+        ),
+        # …while views, RTreeEntry and comments are clean…
+        (
+            "src/serve/x.cc",
+            "// Never tree.node(page): the RTreeNode is the build image.\n"
+            "const NodeSoAView v = tree.sealed().view(page);\n"
+            "std::vector<RTreeEntry> entries;\n",
+            None,
+        ),
+        # …and src/rtree, which builds and persists the AoS node, is exempt.
+        ("src/rtree/x.cc", "const RTreeNode& n = node(root_page_);\n", None),
         # memory-order-audit: explicit orders need an adjacent "order:"
         # rationale comment…
         (
