@@ -8,6 +8,7 @@
 #include "buffer/lru_buffer.h"
 #include "geo/plane_sweep.h"
 #include "geo/polyline.h"
+#include "geo/rect_batch.h"
 #include "geo/space_filling.h"
 #include "join/node_match.h"
 #include "join/second_filter.h"
@@ -30,19 +31,22 @@ std::vector<Rect> RandomRects(uint64_t seed, int count, double extent) {
   return rects;
 }
 
-void BM_PlaneSweepJoin(benchmark::State& state) {
+// Load, sort and sweep, as the partition join does per tile.
+void BM_BatchSweepJoin(benchmark::State& state) {
   const int count = static_cast<int>(state.range(0));
   const auto r = RandomRects(1, count, 0.05);
   const auto s = RandomRects(2, count, 0.05);
+  SweepScratch scratch;
   int64_t pairs = 0;
   for (auto _ : state) {
-    PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                   [&](size_t, size_t) { ++pairs; });
+    scratch.raw_r.Assign(r);
+    scratch.raw_s.Assign(s);
+    BatchSweepJoin(scratch, [&](size_t, size_t) { ++pairs; });
   }
   benchmark::DoNotOptimize(pairs);
   state.SetItemsProcessed(state.iterations() * count);
 }
-BENCHMARK(BM_PlaneSweepJoin)->Arg(26)->Arg(102)->Arg(1024);
+BENCHMARK(BM_BatchSweepJoin)->Arg(26)->Arg(102)->Arg(1024);
 
 void BM_NestedLoopJoin(benchmark::State& state) {
   const int count = static_cast<int>(state.range(0));

@@ -1,9 +1,10 @@
-// Microbenchmark of the SoA batch geometry kernels (rect_batch.h) against
-// their scalar reference implementations, for the three filter-step hot
-// loops: the clip filter (search-space restriction), the plane-sweep
-// forward scan, and the xl sort. Emits a human table on stdout and
-// machine-readable JSON (BENCH_kernels.json, or argv[1]) so the repo's perf
-// trajectory is seeded with hard numbers.
+// Microbenchmark of the SoA geometry kernels (geo/rect_batch.h,
+// geo/node_scan.h) against their scalar reference implementations, for the
+// filter-step hot loops: the clip filter (the runtime-dispatched intra-node
+// scan, which the nested-loop ablation also runs), the plane-sweep forward
+// scan, the xl sort, and the intra-node scan per ISA variant. Emits a human
+// table on stdout and machine-readable JSON (BENCH_kernels.json, or argv[1])
+// so the repo's perf trajectory is seeded with hard numbers.
 
 #include <algorithm>
 #include <chrono>
@@ -133,7 +134,7 @@ Row BenchClipFilter(Rng& rng, size_t n) {
         g_sink = g_sink + ids.size();
       },
       [&] {
-        FilterIntersecting(batches[v], clip, &ids);
+        ScanIntersecting(batches[v].view(), clip, &ids);
         v = (v + 1) % variants;
         g_sink = g_sink + ids.size();
       });
@@ -165,7 +166,8 @@ Row BenchSweepScan(Rng& rng, size_t n) {
         g_sink = g_sink + pairs;
       },
       [&] {
-        SweepCollectPairs(batch_r[v], batch_s[v], &pair_scratch);
+        SweepCollectPairs(batch_r[v].view(), batch_s[v].view(),
+                          &pair_scratch);
         v = (v + 1) % variants;
         g_sink = g_sink + pair_scratch.size();
       });
@@ -191,7 +193,7 @@ Row BenchSortByXl(Rng& rng, size_t n) {
         v = (v + 1) % variants;
       },
       [&] {
-        SortedOrderByXl(batches[v], &order, &keys);
+        SortedOrderByXl(batches[v].view(), &order, &keys);
         v = (v + 1) % variants;
         g_sink = g_sink + order.size();
       });
@@ -257,9 +259,11 @@ int Main(int argc, char** argv) {
     }
   }
 
-  PrintHeader("micro_kernels — scalar vs SoA batch filter-step kernels",
-              "batch >= 2x on clip filter and sweep scan for nodes >= 64 "
-              "entries; node scan >= 1.5x at directory fan-out (n=102)");
+  PrintHeader("micro_kernels — scalar vs SoA filter-step kernels",
+              "clip filter (the runtime-dispatched scan) >= 2x for nodes "
+              ">= 64 entries; SSE2 sweep scan ~1x at node sizes (n <= 102) "
+              "and >= 1.2x from n = 256; node scan >= 1.5x at directory "
+              "fan-out (n=102)");
   Rng rng(20260805);
   std::vector<Row> rows;
   for (const size_t n : {26u, 64u, 102u, 256u, 1024u}) {

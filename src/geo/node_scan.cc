@@ -14,9 +14,9 @@ namespace {
 
 #if PSJ_NODE_SCAN_X86
 
-// Set bit positions of the 4-bit mask, ascending, zero-padded — the same
-// compressed-store table rect_batch.cc uses, so a mask's survivors go out
-// with one unconditional store advancing by popcount.
+// Set bit positions of the 4-bit mask, ascending, zero-padded: a
+// compressed-store table, so a mask's survivors go out with one
+// unconditional store advancing by popcount.
 alignas(16) constexpr uint32_t kCompressU32[16][4] = {
     {0, 0, 0, 0}, {0, 0, 0, 0}, {1, 0, 0, 0}, {0, 1, 0, 0},
     {2, 0, 0, 0}, {0, 2, 0, 0}, {1, 2, 0, 0}, {0, 1, 2, 0},

@@ -12,24 +12,24 @@ namespace psj {
 
 /// \brief Branchless intra-node MBR scan kernels over SoA views.
 ///
-/// Unlike the rect_batch.cc kernels — compiled once for whatever ISA the
-/// translation unit targets — these dispatch at runtime between scalar,
-/// SSE2 and AVX2 variants, so a baseline build still runs the wide scan on
-/// hardware that has it. All variants emit bit-identical results in
-/// ascending index order (the contract every golden baseline and
-/// perturbation gate depends on); the variant entry points exist so the
-/// micro benchmarks and property tests can pin each one down.
+/// The scan dispatches at run time between scalar, SSE2 and AVX2 variants,
+/// so a baseline build still runs the wide scan on hardware that has it;
+/// the one wider-than-baseline kernel of src/geo is compiled per function
+/// with __attribute__((target(...))), never by a build flag. All variants
+/// emit bit-identical results in ascending index order (the contract every
+/// golden baseline and perturbation gate depends on); the variant entry
+/// points exist so the micro benchmarks and property tests can pin each one
+/// down.
 
 /// The instruction set ScanIntersecting dispatches to on this machine
 /// ("avx2", "sse2", or "scalar"). This is detected from the CPU, not the
-/// compile flags; compare RectBatchSimdLevel(), which reports what the
-/// rect_batch kernels were *compiled* for.
+/// compile flags; compare RectBatchSimdLevel(), the sweep's baseline ISA.
 const char* NodeScanIsa();
 
 /// Appends to `*out_ids` (after clearing it) the indices, ascending, of the
 /// view's rectangles intersecting `query` (closed boundaries, like
-/// Rect::Intersects) — the same results FilterIntersecting produces over a
-/// batch holding the same rectangles.
+/// Rect::Intersects), never an index >= node.size — not even for the
+/// whole-plane query, which the padding sentinels satisfy.
 void ScanIntersecting(const RectSoAView& node, const Rect& query,
                       std::vector<uint32_t>* out_ids);
 
@@ -53,16 +53,17 @@ void ScanIntersectingAvx2(const RectSoAView& node, const Rect& query,
 void SelectInXOrder(const RectSoAView& view, const uint8_t* x_order,
                     const Rect* clip, std::vector<uint32_t>* out_ids);
 
-/// \brief BatchSweepJoin over two SoA views that carry their x-orders
-/// (e.g. cached tree nodes, rtree/node_soa.h).
+/// \brief The restricted plane sweep (§2.2) over two SoA views that carry
+/// their x-orders (e.g. cached tree nodes, rtree/node_soa.h).
 ///
 /// Each side's survivors — the rectangles intersecting `clip`, or all of
 /// them with `clip` null — are taken in x-order (SelectInXOrder) and
 /// gathered once. Entries taken in order from a sequence sorted by
 /// (xl, index) stay sorted by (xl, index), which is the order
-/// SortedOrderByXl gives the survivors in BatchSweepJoin; so the sweep sees
-/// the same batches, with no per-call sort, and emits the same pairs in the
-/// same order with the same y-test count. `scratch.ids_r` / `ids_s`
+/// SortedOrderByXl gives the survivors of a restriction in entry order; so
+/// the sweep sees the same batches as restrict → sort → sweep, with no
+/// per-call sort, and emits the same pairs in the same order with the same
+/// y-test count. `scratch.ids_r` / `ids_s`
 /// afterwards hold the survivors' view indices in sweep order; their sizes
 /// are the survivor counts. Returns the exact y-test count.
 template <typename Callback>
@@ -75,7 +76,7 @@ size_t BatchSweepJoinViews(SweepScratch& scratch, const RectSoAView& r,
   scratch.sorted_r.AssignGather(r, scratch.ids_r);
   scratch.sorted_s.AssignGather(s, scratch.ids_s);
   return PlaneSweepBatchSorted(
-      scratch.sorted_r, scratch.sorted_s, &scratch.pairs,
+      scratch.sorted_r.view(), scratch.sorted_s.view(), &scratch.pairs,
       [&](size_t i, size_t j) { emit(scratch.ids_r[i], scratch.ids_s[j]); });
 }
 

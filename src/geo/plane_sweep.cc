@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace psj {
 
 std::vector<uint32_t> SortedOrderByXl(std::span<const Rect> rects) {
   std::vector<uint32_t> order(rects.size());
   std::iota(order.begin(), order.end(), 0u);
-  // NaN keys last, as in the batched overloads (rect_batch.h).
+  // NaN keys last, as in the view overload (rect_batch.h).
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     const double ka = rects[a].xl;
     const double kb = rects[b].xl;

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,19 +37,18 @@ struct RectSoAView {
 /// path.
 ///
 /// The four corner coordinates live in separate contiguous arrays so the
-/// per-node predicates (clip filtering, the plane-sweep forward scan) compile
-/// to branch-free comparison loops the auto-vectorizer can turn into SIMD
-/// code. Every array is padded past `size()` with *sentinel* coordinates
+/// filter-step kernels (the intra-node scan of geo/node_scan.h, the
+/// plane-sweep forward scan) compare whole SIMD vectors without branches.
+/// Every array is padded past `size()` with *sentinel* coordinates
 /// (xl = +inf, xu = -inf, yl = +inf, yu = -inf) so kernels may always read a
 /// full block of `kBlock` lanes starting at any index <= size() without
 /// bounds checks: a sentinel lane never passes an intersection predicate and
 /// always terminates the sweep's x-scan.
 class RectBatch {
  public:
-  /// Lanes processed per kernel block. A multiple of every SIMD width we
-  /// target (2 for SSE2, 4 for AVX2, 8 for AVX-512 doubles).
+  /// Padding quantum in lanes. A multiple of every kernel's vector width
+  /// (2 doubles for the SSE2 sweep and scan, 4 for the AVX2 scan).
   static constexpr size_t kBlock = 16;
-  static constexpr size_t npos = static_cast<size_t>(-1);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -107,13 +105,9 @@ class RectBatch {
     }
   }
 
-  /// Loads `src[ids[k]]` for k = 0..ids.size()-1 (a gather); used to compact
-  /// clip survivors and to apply a sort permutation.
-  void AssignGather(const RectBatch& src, std::span<const uint32_t> ids) {
-    AssignGather(src.view(), ids);
-  }
-
-  /// Gather overload reading from a SoA view (e.g. a cached tree node).
+  /// Loads `src[ids[k]]` for k = 0..ids.size()-1 (a gather) from a SoA view
+  /// (a cached tree node, or another batch's view()); used to compact clip
+  /// survivors and to apply a sort permutation.
   void AssignGather(const RectSoAView& src, std::span<const uint32_t> ids) {
     Resize(ids.size());
     for (size_t k = 0; k < ids.size(); ++k) {
@@ -162,33 +156,10 @@ class RectBatch {
   std::vector<double> yu_;
 };
 
-/// The SIMD instruction set the batch kernels were compiled for ("avx512",
-/// "avx2", "avx", "sse2", or "scalar"). Reported from the kernel translation
-/// unit, which is the one PSJ_ENABLE_NATIVE_ARCH affects.
+/// The instruction set the sweep kernel runs on: "sse2" on x86-64, whose
+/// baseline includes SSE2, and "scalar" elsewhere. Compare NodeScanIsa()
+/// (geo/node_scan.h), which the intra-node scan picks at run time.
 const char* RectBatchSimdLevel();
-
-/// Appends to `*out_ids` (after clearing it) the indices, ascending, of the
-/// rectangles in `batch` intersecting `clip` (closed boundaries, like
-/// Rect::Intersects), never an index >= batch.size(). The search-space
-/// restriction kernel of the AoS path.
-void FilterIntersecting(const RectBatch& batch, const Rect& clip,
-                        std::vector<uint32_t>* out_ids);
-
-/// Index of the first rectangle in `batch` intersecting `query`, or
-/// RectBatch::npos. Used by the second filter's early-out screen.
-size_t FirstIntersecting(const RectBatch& batch, const Rect& query);
-
-/// \brief The plane-sweep forward scan as a batch kernel.
-///
-/// `batch` must be sorted ascending by xl. Starting at `lo`, scans while
-/// xl[l] <= anchor_xu (the sweep's run), y-testing every rectangle in the
-/// run and appending the indices that overlap [anchor_yl, anchor_yu] to
-/// `*hits` (not cleared) in ascending order — exactly the emission order of
-/// the scalar scan. Returns the number of y-tests performed, i.e. the run
-/// length, for exact CPU-cost accounting.
-size_t CountAndEmitYOverlaps(const RectBatch& batch, size_t lo,
-                             double anchor_xu, double anchor_yl,
-                             double anchor_yu, std::vector<uint32_t>* hits);
 
 /// An integer image of an xl key that orders as SortedOrderByXl does:
 /// ascending doubles map to ascending integers, -0.0 and +0.0 to the same
@@ -198,20 +169,14 @@ size_t CountAndEmitYOverlaps(const RectBatch& batch, size_t lo,
 /// NaN coordinate, since bulk and page-file loads do not validate rects.
 uint64_t XlSortKey(double xl);
 
-/// Batched SortedOrderByXl: fills `*order` with the permutation sorting
-/// `batch` ascending by xl, NaN keys last, ties by index (the scalar
-/// tie-break; -0.0 and +0.0 tie). The sort runs over packed (integer key,
-/// index) pairs in `*key_scratch` so comparisons never chase the AoS
-/// layout.
-void SortedOrderByXl(const RectBatch& batch, std::vector<uint32_t>* order,
-                     std::vector<std::pair<uint64_t, uint32_t>>* key_scratch);
-
-/// View overload of SortedOrderByXl: same permutation and tie-break over a
-/// SoA view's xl plane.
+/// Fills `*order` with the permutation sorting `view` ascending by xl, NaN
+/// keys last, ties by index (the scalar tie-break; -0.0 and +0.0 tie). The
+/// sort runs over packed (integer key, index) pairs in `*key_scratch` so
+/// comparisons never chase the AoS layout.
 void SortedOrderByXl(const RectSoAView& view, std::vector<uint32_t>* order,
                      std::vector<std::pair<uint64_t, uint32_t>>* key_scratch);
 
-/// \brief The full plane-sweep join over two x-sorted batches as one fused
+/// \brief The full plane-sweep join over two x-sorted views as one fused
 /// kernel call.
 ///
 /// Fills `*pairs` (after clearing it) with (i, j) index pairs — i into `r`,
@@ -221,10 +186,10 @@ void SortedOrderByXl(const RectSoAView& view, std::vector<uint32_t>* order,
 /// across all forward scans. Fusing the outer sweep loop with the scan
 /// kernel keeps the whole join inside one translation unit, so there is no
 /// per-anchor call overhead.
-size_t SweepCollectPairs(const RectBatch& r, const RectBatch& s,
+size_t SweepCollectPairs(const RectSoAView& r, const RectSoAView& s,
                          std::vector<std::pair<uint32_t, uint32_t>>* pairs);
 
-/// \brief Plane-sweep join over two x-sorted batches, delivered through a
+/// \brief Plane-sweep join over two x-sorted views, delivered through a
 /// callback.
 ///
 /// Emits (i, j) — indices into `r` and `s` — via `emit`, in exactly the
@@ -232,7 +197,7 @@ size_t SweepCollectPairs(const RectBatch& r, const RectBatch& s,
 /// `*pairs` is scratch for the fused kernel. Returns the exact number of
 /// y-tests performed across all scans.
 template <typename Callback>
-size_t PlaneSweepBatchSorted(const RectBatch& r, const RectBatch& s,
+size_t PlaneSweepBatchSorted(const RectSoAView& r, const RectSoAView& s,
                              std::vector<std::pair<uint32_t, uint32_t>>* pairs,
                              Callback&& emit) {
   const size_t tests = SweepCollectPairs(r, s, pairs);
@@ -242,61 +207,42 @@ size_t PlaneSweepBatchSorted(const RectBatch& r, const RectBatch& s,
   return tests;
 }
 
-/// Reusable buffers for the full batched filter-step pipeline (restriction →
-/// sort → sweep, or restriction in x-order → sweep for BatchSweepJoinViews).
-/// Keep one per joiner and pass it to every call to avoid the per-node-pair
-/// vector allocations of the scalar path.
+/// Reusable buffers for the batched filter step: sort → sweep
+/// (BatchSweepJoin), restriction in x-order → sweep (BatchSweepJoinViews),
+/// and the nested-loop ablation of node matching. Keep one per joiner and
+/// pass it to every call to avoid per-node-pair vector allocations.
 struct SweepScratch {
-  RectBatch raw_r;     // Caller-loaded inputs.
+  RectBatch raw_r;     // Caller-loaded inputs of BatchSweepJoin.
   RectBatch raw_s;
-  RectBatch kept_r;    // Clip survivors, original order.
+  RectBatch kept_r;    // Clip survivors of the nested-loop ablation.
   RectBatch kept_s;
-  RectBatch sorted_r;  // Survivors in sweep (xl) order.
+  RectBatch sorted_r;  // Inputs or survivors in sweep (xl) order.
   RectBatch sorted_s;
-  std::vector<uint32_t> ids_r;    // Survivor position -> original index
+  std::vector<uint32_t> ids_r;    // Survivor position -> view index
   std::vector<uint32_t> ids_s;    // (in sweep order on the x-order path).
-  std::vector<uint32_t> order_r;  // Sweep position -> survivor position.
+  std::vector<uint32_t> order_r;  // Sweep position -> input index.
   std::vector<uint32_t> order_s;
   std::vector<std::pair<uint64_t, uint32_t>> keys;
   std::vector<uint32_t> hits;
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
 };
 
-/// \brief Restriction + sort + sweep over `scratch.raw_r` / `scratch.raw_s`
-/// (which the caller must load first).
+/// \brief Sort + sweep over `scratch.raw_r` / `scratch.raw_s` (which the
+/// caller must load first): the partition join's per-tile filter step.
 ///
-/// With `clip` non-null, rectangles not intersecting it are dropped before
-/// sorting (the paper's search-space restriction); `scratch.ids_r.size()` /
-/// `ids_s.size()` afterwards give the survivor counts. Emits pairs of
-/// indices into the *raw* inputs in local plane-sweep order, bit-identical
-/// to the scalar restricted sweep. Returns the exact y-test count.
+/// Emits pairs of indices into the raw inputs in local plane-sweep order,
+/// bit-identical to sorting both sides with SortedOrderByXl and running
+/// PlaneSweepJoinSortedScalar. Returns the exact y-test count.
 template <typename Callback>
-size_t BatchSweepJoin(SweepScratch& scratch, const Rect* clip,
-                      Callback&& emit) {
-  const RectBatch* kept_r = &scratch.raw_r;
-  const RectBatch* kept_s = &scratch.raw_s;
-  if (clip != nullptr) {
-    FilterIntersecting(scratch.raw_r, *clip, &scratch.ids_r);
-    FilterIntersecting(scratch.raw_s, *clip, &scratch.ids_s);
-    scratch.kept_r.AssignGather(scratch.raw_r, scratch.ids_r);
-    scratch.kept_s.AssignGather(scratch.raw_s, scratch.ids_s);
-    kept_r = &scratch.kept_r;
-    kept_s = &scratch.kept_s;
-  } else {
-    scratch.ids_r.resize(scratch.raw_r.size());
-    scratch.ids_s.resize(scratch.raw_s.size());
-    std::iota(scratch.ids_r.begin(), scratch.ids_r.end(), 0u);
-    std::iota(scratch.ids_s.begin(), scratch.ids_s.end(), 0u);
-  }
-  SortedOrderByXl(*kept_r, &scratch.order_r, &scratch.keys);
-  SortedOrderByXl(*kept_s, &scratch.order_s, &scratch.keys);
-  scratch.sorted_r.AssignGather(*kept_r, scratch.order_r);
-  scratch.sorted_s.AssignGather(*kept_s, scratch.order_s);
+size_t BatchSweepJoin(SweepScratch& scratch, Callback&& emit) {
+  SortedOrderByXl(scratch.raw_r.view(), &scratch.order_r, &scratch.keys);
+  SortedOrderByXl(scratch.raw_s.view(), &scratch.order_s, &scratch.keys);
+  scratch.sorted_r.AssignGather(scratch.raw_r.view(), scratch.order_r);
+  scratch.sorted_s.AssignGather(scratch.raw_s.view(), scratch.order_s);
   return PlaneSweepBatchSorted(
-      scratch.sorted_r, scratch.sorted_s, &scratch.pairs,
+      scratch.sorted_r.view(), scratch.sorted_s.view(), &scratch.pairs,
       [&](size_t i, size_t j) {
-        emit(scratch.ids_r[scratch.order_r[i]],
-             scratch.ids_s[scratch.order_s[j]]);
+        emit(scratch.order_r[i], scratch.order_s[j]);
       });
 }
 

@@ -37,8 +37,8 @@ std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntriesSoA(
   } else {
     // Nested-loop ablation baseline: every restricted pair is tested. The
     // restricted sets land in the kept batches (full plane copies when
-    // unclipped), and the inner loop is the clip-filter kernel with the
-    // outer rectangle as the query.
+    // unclipped), and the inner loop is the intra-node scan with the outer
+    // rectangle as the query.
     if (clip_ptr != nullptr) {
       ScanIntersecting(node_r.rects, clip, &sc.ids_r);
       ScanIntersecting(node_s.rects, clip, &sc.ids_s);
@@ -51,8 +51,7 @@ std::vector<std::pair<uint32_t, uint32_t>> MatchNodeEntriesSoA(
     const size_t nr = sc.kept_r.size();
     const size_t ns = sc.kept_s.size();
     for (size_t i = 0; i < nr; ++i) {
-      sc.hits.clear();
-      FilterIntersecting(sc.kept_s, sc.kept_r.rect(i), &sc.hits);
+      ScanIntersecting(sc.kept_s.view(), sc.kept_r.rect(i), &sc.hits);
       const uint32_t orig_i = clip_ptr != nullptr
                                   ? sc.ids_r[i]
                                   : static_cast<uint32_t>(i);

@@ -1,6 +1,7 @@
 #include "join/second_filter.h"
 
-#include "geo/rect_batch.h"
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace psj {
@@ -49,21 +50,20 @@ SecondFilter::SecondFilter(const ObjectStore& store, int max_sections)
 bool SecondFilter::CanIntersect(const std::vector<Rect>& a,
                                 const std::vector<Rect>& b,
                                 size_t* tests_performed) {
-  // Batched first-hit screen over the (usually longer-lived) b side; the
-  // test count charged matches the scalar early-out loop exactly: a full
-  // row of |b| tests per miss, hit_index + 1 on the terminating row.
-  thread_local RectBatch batch_b;
-  batch_b.Assign(b);
+  // Early-out screen over at most max_sections rects a side: a full row of
+  // |b| tests per miss, hit_index + 1 on the terminating row.
   size_t tests = 0;
   bool possible = false;
   for (const Rect& ra : a) {
-    const size_t hit = FirstIntersecting(batch_b, ra);
-    if (hit != RectBatch::npos) {
-      tests += hit + 1;
+    const auto hit = std::find_if(b.begin(), b.end(), [&](const Rect& rb) {
+      return rb.Intersects(ra);
+    });
+    tests += static_cast<size_t>(hit - b.begin());
+    if (hit != b.end()) {
+      tests += 1;
       possible = true;
       break;
     }
-    tests += b.size();
   }
   if (tests_performed != nullptr) {
     *tests_performed = tests;

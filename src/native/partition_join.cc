@@ -305,7 +305,7 @@ class GridJoin {
         tr, [](const RTreeEntry& e) -> const Rect& { return e.rect; });
     w.scratch.raw_s.AssignProjected(
         ts, [](const RTreeEntry& e) -> const Rect& { return e.rect; });
-    BatchSweepJoin(w.scratch, /*clip=*/nullptr, [&](size_t i, size_t j) {
+    BatchSweepJoin(w.scratch, [&](size_t i, size_t j) {
       // Reference-point duplicate avoidance: report the pair only in the
       // tile owning the bottom-left corner of the MBR intersection. The
       // owner tile goes through the same TileX/TileY as assignment, and

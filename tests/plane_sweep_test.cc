@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geo/plane_sweep.h"
+#include "geo/rect_batch.h"
 #include "util/rng.h"
 
 namespace psj {
@@ -23,6 +24,20 @@ std::vector<Rect> RandomRects(Rng& rng, int count, double max_extent) {
                        y + rng.NextDoubleInRange(0.0, max_extent));
   }
   return rects;
+}
+
+// BatchSweepJoin, the partition join's sort-then-sweep entry point, over
+// unsorted `r` and `s`; the pairs index the inputs, in local plane-sweep
+// order.
+std::vector<Pair> SortAndSweep(const std::vector<Rect>& r,
+                               const std::vector<Rect>& s) {
+  SweepScratch scratch;
+  scratch.raw_r.Assign(r);
+  scratch.raw_s.Assign(s);
+  std::vector<Pair> pairs;
+  BatchSweepJoin(scratch,
+                 [&](size_t i, size_t j) { pairs.emplace_back(i, j); });
+  return pairs;
 }
 
 std::set<Pair> CollectSet(const std::vector<Pair>& pairs) {
@@ -46,29 +61,21 @@ TEST(PlaneSweepTest, SmallHandComputedExample) {
   // Figure 1-style setup: overlapping ranges along x.
   const std::vector<Rect> r = {Rect(0, 0, 2, 2), Rect(3, 0, 5, 2)};
   const std::vector<Rect> s = {Rect(1, 1, 4, 3), Rect(6, 0, 7, 1)};
-  std::vector<Pair> pairs;
-  PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                 [&](size_t i, size_t j) { pairs.emplace_back(i, j); });
+  const std::vector<Pair> pairs = SortAndSweep(r, s);
   EXPECT_EQ(CollectSet(pairs), (std::set<Pair>{{0, 0}, {1, 0}}));
 }
 
 TEST(PlaneSweepTest, EmptyInputs) {
   const std::vector<Rect> r = {Rect(0, 0, 1, 1)};
   const std::vector<Rect> empty;
-  int count = 0;
-  PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(empty),
-                 [&](size_t, size_t) { ++count; });
-  PlaneSweepJoin(std::span<const Rect>(empty), std::span<const Rect>(r),
-                 [&](size_t, size_t) { ++count; });
-  EXPECT_EQ(count, 0);
+  EXPECT_TRUE(SortAndSweep(r, empty).empty());
+  EXPECT_TRUE(SortAndSweep(empty, r).empty());
 }
 
 TEST(PlaneSweepTest, TouchingBoundariesCount) {
   const std::vector<Rect> r = {Rect(0, 0, 1, 1)};
   const std::vector<Rect> s = {Rect(1, 1, 2, 2)};  // Shares one corner.
-  std::vector<Pair> pairs;
-  PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                 [&](size_t i, size_t j) { pairs.emplace_back(i, j); });
+  const std::vector<Pair> pairs = SortAndSweep(r, s);
   EXPECT_EQ(pairs.size(), 1u);
 }
 
@@ -76,9 +83,7 @@ TEST(PlaneSweepTest, EmitsEachPairExactlyOnce) {
   Rng rng(77);
   const auto r = RandomRects(rng, 60, 0.3);
   const auto s = RandomRects(rng, 60, 0.3);
-  std::vector<Pair> pairs;
-  PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                 [&](size_t i, size_t j) { pairs.emplace_back(i, j); });
+  const std::vector<Pair> pairs = SortAndSweep(r, s);
   const std::set<Pair> unique = CollectSet(pairs);
   EXPECT_EQ(unique.size(), pairs.size()) << "duplicate pair emitted";
 }
@@ -95,9 +100,7 @@ TEST_P(PlaneSweepPropertyTest, MatchesBruteForce) {
   const auto r = RandomRects(rng, count, extent);
   const auto s = RandomRects(rng, count + 7, extent);
 
-  std::vector<Pair> sweep;
-  PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                 [&](size_t i, size_t j) { sweep.emplace_back(i, j); });
+  const std::vector<Pair> sweep = SortAndSweep(r, s);
   std::vector<Pair> brute;
   BruteForceJoin(std::span<const Rect>(r), std::span<const Rect>(s),
                  [&](size_t i, size_t j) { brute.emplace_back(i, j); });
@@ -121,55 +124,12 @@ TEST(PlaneSweepTest, SweepOrderIsMonotoneInX) {
   std::sort(s.begin(), s.end(),
             [](const Rect& a, const Rect& b) { return a.xl < b.xl; });
   double last_anchor = -1.0;
-  PlaneSweepJoinSorted(
-      std::span<const Rect>(r), std::span<const Rect>(s),
-      [&](size_t i, size_t j) {
-        // The anchor is the rect with the smaller xl.
-        const double anchor = std::min(r[i].xl, s[j].xl);
-        EXPECT_GE(anchor, last_anchor - 1e-12);
-        last_anchor = std::max(last_anchor, anchor);
-      });
-}
-
-TEST(RestrictedPlaneSweepTest, ClipDropsOutsideEntries) {
-  const std::vector<Rect> r = {Rect(0, 0, 1, 1), Rect(5, 5, 6, 6)};
-  const std::vector<Rect> s = {Rect(0.5, 0.5, 1.5, 1.5), Rect(5, 5, 6, 6)};
-  const Rect clip(0, 0, 2, 2);
-  std::vector<Pair> pairs;
-  size_t considered_r = 0;
-  size_t considered_s = 0;
-  RestrictedPlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                           clip,
-                           [&](size_t i, size_t j) {
-                             pairs.emplace_back(i, j);
-                           },
-                           &considered_r, &considered_s);
-  EXPECT_EQ(considered_r, 1u);
-  EXPECT_EQ(considered_s, 1u);
-  EXPECT_EQ(pairs, (std::vector<Pair>{{0, 0}}));
-}
-
-TEST(RestrictedPlaneSweepTest, RestrictionToCommonMbrIsLossless) {
-  // Restricting to the intersection of the two sides' MBRs must not lose
-  // any intersecting pair.
-  Rng rng(6);
-  const auto r = RandomRects(rng, 80, 0.2);
-  const auto s = RandomRects(rng, 80, 0.2);
-  Rect mbr_r = Rect::Empty();
-  Rect mbr_s = Rect::Empty();
-  for (const Rect& x : r) mbr_r.ExpandToInclude(x);
-  for (const Rect& x : s) mbr_s.ExpandToInclude(x);
-  const Rect clip = mbr_r.Intersection(mbr_s);
-
-  std::vector<Pair> restricted;
-  RestrictedPlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                           clip, [&](size_t i, size_t j) {
-                             restricted.emplace_back(i, j);
-                           });
-  std::vector<Pair> brute;
-  BruteForceJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                 [&](size_t i, size_t j) { brute.emplace_back(i, j); });
-  EXPECT_EQ(CollectSet(restricted), CollectSet(brute));
+  for (const auto& [i, j] : SortAndSweep(r, s)) {
+    // The anchor is the rect with the smaller xl.
+    const double anchor = std::min(r[i].xl, s[j].xl);
+    EXPECT_GE(anchor, last_anchor - 1e-12);
+    last_anchor = std::max(last_anchor, anchor);
+  }
 }
 
 }  // namespace

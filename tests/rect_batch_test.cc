@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <set>
 #include <span>
 #include <vector>
@@ -47,6 +46,34 @@ std::vector<Rect> SortByXl(std::vector<Rect> rects) {
   return rects;
 }
 
+// SweepCollectPairs over the views of x-sorted `r` and `s`: fills `*pairs`
+// and returns the y-test count.
+size_t BatchSweep(const std::vector<Rect>& r, const std::vector<Rect>& s,
+                  std::vector<Pair>* pairs) {
+  RectBatch batch_r;
+  RectBatch batch_s;
+  batch_r.Assign(r);
+  batch_s.Assign(s);
+  std::vector<std::pair<uint32_t, uint32_t>> collected;
+  const size_t tests =
+      SweepCollectPairs(batch_r.view(), batch_s.view(), &collected);
+  pairs->assign(collected.begin(), collected.end());
+  return tests;
+}
+
+// BatchSweepJoin, the partition join's sort-then-sweep entry point, over
+// unsorted `r` and `s`; the pairs index the inputs.
+std::vector<Pair> SortAndSweep(const std::vector<Rect>& r,
+                               const std::vector<Rect>& s) {
+  SweepScratch scratch;
+  scratch.raw_r.Assign(r);
+  scratch.raw_s.Assign(s);
+  std::vector<Pair> pairs;
+  BatchSweepJoin(scratch,
+                 [&](size_t i, size_t j) { pairs.emplace_back(i, j); });
+  return pairs;
+}
+
 TEST(RectBatchTest, AssignRoundTripsAndPads) {
   Rng rng(10);
   const auto rects = FuzzRects(rng, 37, 0.2);
@@ -77,7 +104,7 @@ TEST(RectBatchTest, ReloadsKeepEveryLanePastSizeASentinel) {
     batch.Assign(rects);
     std::vector<uint32_t> every_other;
     for (uint32_t i = 0; i < rects.size(); i += 2) every_other.push_back(i);
-    gathered.AssignGather(batch, every_other);
+    gathered.AssignGather(batch.view(), every_other);
     for (const RectBatch* b : {&batch, &gathered}) {
       const size_t stride = b == &batch ? 1 : 2;
       ASSERT_EQ(b->size(), (rects.size() + stride - 1) / stride);
@@ -94,96 +121,6 @@ TEST(RectBatchTest, ReloadsKeepEveryLanePastSizeASentinel) {
   }
 }
 
-TEST(RectBatchTest, FilterIntersectingMatchesScalarLoop) {
-  Rng rng(11);
-  for (const int count : {0, 1, 5, 16, 17, 64, 100, 257}) {
-    const auto rects = FuzzRects(rng, count, 0.3);
-    const Rect clip(0.2, 0.2, 0.7, 0.7);
-    RectBatch batch;
-    batch.Assign(rects);
-    std::vector<uint32_t> ids;
-    FilterIntersecting(batch, clip, &ids);
-    std::vector<uint32_t> expected;
-    for (uint32_t i = 0; i < rects.size(); ++i) {
-      if (rects[i].Intersects(clip)) expected.push_back(i);
-    }
-    EXPECT_EQ(ids, expected) << "count=" << count;
-  }
-}
-
-// The padding sentinels satisfy exactly one query, the whole plane; no
-// kernel may report a padding lane for it.
-TEST(RectBatchTest, WholePlaneQueryYieldsExactlyTheRealIndices) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const Rect whole(-kInf, -kInf, kInf, kInf);
-  Rng rng(18);
-  for (int n = 0; n <= 40; ++n) {
-    const auto rects = FuzzRects(rng, n, 0.3);
-    RectBatch batch;
-    batch.Assign(rects);
-    std::vector<uint32_t> ids;
-    FilterIntersecting(batch, whole, &ids);
-    std::vector<uint32_t> expected(static_cast<size_t>(n));
-    std::iota(expected.begin(), expected.end(), 0u);
-    EXPECT_EQ(ids, expected) << "n=" << n;
-  }
-  // With every real rect failing (NaN), a hit could only be padding.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (int n = 1; n <= 8; ++n) {
-    RectBatch batch;
-    batch.Assign(std::vector<Rect>(static_cast<size_t>(n),
-                                   Rect(nan, nan, nan, nan)));
-    EXPECT_EQ(FirstIntersecting(batch, whole), RectBatch::npos) << "n=" << n;
-  }
-}
-
-TEST(RectBatchTest, FirstIntersectingMatchesScalarLoop) {
-  Rng rng(12);
-  for (int round = 0; round < 50; ++round) {
-    const auto rects = FuzzRects(rng, round % 40, 0.1);
-    const auto probes = FuzzRects(rng, 5, 0.3);
-    RectBatch batch;
-    batch.Assign(rects);
-    for (const Rect& q : probes) {
-      size_t expected = RectBatch::npos;
-      for (size_t i = 0; i < rects.size(); ++i) {
-        if (rects[i].Intersects(q)) {
-          expected = i;
-          break;
-        }
-      }
-      EXPECT_EQ(FirstIntersecting(batch, q), expected);
-    }
-  }
-}
-
-TEST(RectBatchTest, CountAndEmitMatchesScalarForwardScan) {
-  Rng rng(13);
-  for (int round = 0; round < 60; ++round) {
-    const auto rects = SortByXl(FuzzRects(rng, 3 + round * 2, 0.25));
-    RectBatch batch;
-    batch.Assign(rects);
-    const auto anchors = FuzzRects(rng, 4, 0.4);
-    for (const Rect& anchor : anchors) {
-      const size_t lo = static_cast<size_t>(
-          rng.NextDoubleInRange(0.0, static_cast<double>(rects.size())));
-      std::vector<uint32_t> hits;
-      const size_t tests = CountAndEmitYOverlaps(
-          batch, lo, anchor.xu, anchor.yl, anchor.yu, &hits);
-      std::vector<uint32_t> expected_hits;
-      size_t expected_tests = 0;
-      for (size_t l = lo; l < rects.size() && rects[l].xl <= anchor.xu; ++l) {
-        ++expected_tests;
-        if (anchor.yl <= rects[l].yu && rects[l].yl <= anchor.yu) {
-          expected_hits.push_back(static_cast<uint32_t>(l));
-        }
-      }
-      EXPECT_EQ(hits, expected_hits);
-      EXPECT_EQ(tests, expected_tests);
-    }
-  }
-}
-
 TEST(RectBatchTest, BatchedSortedOrderMatchesScalar) {
   Rng rng(14);
   for (const int count : {0, 1, 2, 50, 130}) {
@@ -192,7 +129,7 @@ TEST(RectBatchTest, BatchedSortedOrderMatchesScalar) {
     batch.Assign(rects);
     std::vector<uint32_t> order;
     std::vector<std::pair<uint64_t, uint32_t>> keys;
-    SortedOrderByXl(batch, &order, &keys);
+    SortedOrderByXl(batch.view(), &order, &keys);
     EXPECT_EQ(order, SortedOrderByXl(std::span<const Rect>(rects)));
   }
 }
@@ -226,7 +163,7 @@ TEST(RectBatchTest, SortedOrderPlacesNaNKeysLast) {
     batch.Assign(*set);
     std::vector<uint32_t> order;
     std::vector<std::pair<uint64_t, uint32_t>> scratch;
-    SortedOrderByXl(batch, &order, &scratch);
+    SortedOrderByXl(batch.view(), &order, &scratch);
     EXPECT_EQ(order, SortedOrderByXl(std::span<const Rect>(*set)));
     for (size_t k = 1; k < order.size(); ++k) {
       const double a = (*set)[order[k - 1]].xl;
@@ -261,11 +198,7 @@ TEST(RectBatchTest, SortedSweepIsBitIdenticalToScalar) {
         &scalar_tests);
 
     std::vector<Pair> batch_pairs;
-    size_t batch_tests = 0;
-    PlaneSweepJoinSorted(
-        std::span<const Rect>(r), std::span<const Rect>(s),
-        [&](size_t i, size_t j) { batch_pairs.emplace_back(i, j); },
-        &batch_tests);
+    const size_t batch_tests = BatchSweep(r, s, &batch_pairs);
 
     EXPECT_EQ(batch_pairs, scalar_pairs) << "round=" << round;
     EXPECT_EQ(batch_tests, scalar_tests) << "round=" << round;
@@ -274,7 +207,7 @@ TEST(RectBatchTest, SortedSweepIsBitIdenticalToScalar) {
 
 // An anchor with xu = +inf runs over every later rect, and one spanning the
 // whole y axis passes the y test of the padding sentinels too: the batched
-// sweep and forward scan must still stop at the real rects.
+// sweep must still stop at the real rects.
 TEST(RectBatchTest, InfiniteAnchorsStopAtTheRealRects) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Rng rng(19);
@@ -300,89 +233,9 @@ TEST(RectBatchTest, InfiniteAnchorsStopAtTheRealRects) {
         [&](size_t i, size_t j) { scalar_pairs.emplace_back(i, j); },
         &scalar_tests);
     std::vector<Pair> batch_pairs;
-    size_t batch_tests = 0;
-    PlaneSweepJoinSorted(
-        std::span<const Rect>(r), std::span<const Rect>(s),
-        [&](size_t i, size_t j) { batch_pairs.emplace_back(i, j); },
-        &batch_tests);
+    const size_t batch_tests = BatchSweep(r, s, &batch_pairs);
     EXPECT_EQ(batch_pairs, scalar_pairs) << "round=" << round;
     EXPECT_EQ(batch_tests, scalar_tests) << "round=" << round;
-
-    RectBatch batch;
-    batch.Assign(s);
-    for (size_t lo = 0; lo <= s.size(); ++lo) {
-      std::vector<uint32_t> hits;
-      const size_t tests =
-          CountAndEmitYOverlaps(batch, lo, kInf, -kInf, kInf, &hits);
-      std::vector<uint32_t> expected(s.size() - lo);
-      std::iota(expected.begin(), expected.end(), static_cast<uint32_t>(lo));
-      EXPECT_EQ(hits, expected) << "round=" << round << " lo=" << lo;
-      EXPECT_EQ(tests, s.size() - lo);
-    }
-  }
-}
-
-// Scalar reference for the full restricted pipeline, replicating the
-// pre-batching implementation (filter in index order, sort ties by kept
-// position, sweep).
-void ScalarRestrictedSweep(std::span<const Rect> r, std::span<const Rect> s,
-                           const Rect* clip, std::vector<Pair>* pairs,
-                           size_t* considered_r, size_t* considered_s) {
-  std::vector<Rect> r_kept;
-  std::vector<Rect> s_kept;
-  std::vector<uint32_t> r_ids;
-  std::vector<uint32_t> s_ids;
-  for (uint32_t k = 0; k < r.size(); ++k) {
-    if (clip == nullptr || r[k].Intersects(*clip)) {
-      r_kept.push_back(r[k]);
-      r_ids.push_back(k);
-    }
-  }
-  for (uint32_t k = 0; k < s.size(); ++k) {
-    if (clip == nullptr || s[k].Intersects(*clip)) {
-      s_kept.push_back(s[k]);
-      s_ids.push_back(k);
-    }
-  }
-  if (considered_r != nullptr) *considered_r = r_kept.size();
-  if (considered_s != nullptr) *considered_s = s_kept.size();
-  const auto r_order = SortedOrderByXl(std::span<const Rect>(r_kept));
-  const auto s_order = SortedOrderByXl(std::span<const Rect>(s_kept));
-  std::vector<Rect> r_sorted(r_kept.size());
-  std::vector<Rect> s_sorted(s_kept.size());
-  for (size_t k = 0; k < r_kept.size(); ++k) r_sorted[k] = r_kept[r_order[k]];
-  for (size_t k = 0; k < s_kept.size(); ++k) s_sorted[k] = s_kept[s_order[k]];
-  PlaneSweepJoinSortedScalar(
-      std::span<const Rect>(r_sorted), std::span<const Rect>(s_sorted),
-      [&](size_t i, size_t j) {
-        pairs->emplace_back(r_ids[r_order[i]], s_ids[s_order[j]]);
-      });
-}
-
-TEST(RectBatchTest, RestrictedSweepIsBitIdenticalToScalarPipeline) {
-  Rng rng(16);
-  for (int round = 0; round < 80; ++round) {
-    const auto r = FuzzRects(rng, 5 + round % 60, 0.15);
-    const auto s = FuzzRects(rng, 5 + (round * 3) % 60, 0.15);
-    const Rect clip(0.25, 0.25, 0.8, 0.8);
-
-    std::vector<Pair> expected;
-    size_t expected_cr = 0;
-    size_t expected_cs = 0;
-    ScalarRestrictedSweep(r, s, &clip, &expected, &expected_cr, &expected_cs);
-
-    std::vector<Pair> actual;
-    size_t cr = 0;
-    size_t cs = 0;
-    RestrictedPlaneSweepJoin(std::span<const Rect>(r),
-                             std::span<const Rect>(s), clip,
-                             [&](size_t i, size_t j) {
-                               actual.emplace_back(i, j);
-                             },
-                             &cr, &cs);
-    EXPECT_EQ(actual, expected) << "round=" << round;
-    EXPECT_EQ(cr, expected_cr);
-    EXPECT_EQ(cs, expected_cs);
   }
 }
 
@@ -391,9 +244,7 @@ TEST(RectBatchTest, UnsortedSweepMatchesBruteForcePairSet) {
   for (int round = 0; round < 60; ++round) {
     const auto r = FuzzRects(rng, round % 50, 0.3);
     const auto s = FuzzRects(rng, (round * 5) % 50, 0.3);
-    std::vector<Pair> sweep;
-    PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                   [&](size_t i, size_t j) { sweep.emplace_back(i, j); });
+    const std::vector<Pair> sweep = SortAndSweep(r, s);
     std::vector<Pair> brute;
     BruteForceJoin(std::span<const Rect>(r), std::span<const Rect>(s),
                    [&](size_t i, size_t j) { brute.emplace_back(i, j); });
@@ -412,9 +263,7 @@ TEST(RectBatchTest, EdgeAndCornerTouchingRectsAreEmitted) {
                                Rect(1, 1, 2, 2),   // Shares corner (1,1);
                                                    // corner (2,2) is r[1].
                                Rect(2, 2, 2, 2)};  // Identical point.
-  std::vector<Pair> pairs;
-  PlaneSweepJoin(std::span<const Rect>(r), std::span<const Rect>(s),
-                 [&](size_t i, size_t j) { pairs.emplace_back(i, j); });
+  const std::vector<Pair> pairs = SortAndSweep(r, s);
   EXPECT_EQ(std::set<Pair>(pairs.begin(), pairs.end()),
             (std::set<Pair>{{0, 0}, {0, 1}, {1, 1}, {1, 2}}));
 }

@@ -109,6 +109,9 @@ TEST(SecondFilterTest, CountsTests) {
   size_t tests = 0;
   EXPECT_TRUE(SecondFilter::CanIntersect(a, b, &tests));
   EXPECT_EQ(tests, 2u);  // Stops at the first hit.
+  const std::vector<Rect> miss_then_hit = {a[1], a[0]};
+  EXPECT_TRUE(SecondFilter::CanIntersect(miss_then_hit, b, &tests));
+  EXPECT_EQ(tests, 4u);  // A full row of |b| per miss, then hit + 1.
   const std::vector<Rect> c = {Rect(20, 20, 21, 21)};
   EXPECT_FALSE(SecondFilter::CanIntersect(a, c, &tests));
   EXPECT_EQ(tests, 2u);  // Exhaustive when disjoint.

@@ -26,6 +26,15 @@ leak into simulated results.
                        wrappers. Everywhere else in src/ must call the
                        wrappers so the scalar fallback stays the single
                        source of truth for results.
+  runtime-isa          One SIMD dispatch scheme: src/ never tests an x86
+                       extension beyond the x86-64 baseline in the
+                       preprocessor (__AVX__, __AVX2__, __AVX512*__,
+                       __FMA__, __SSE3__, __SSSE3__, __SSE4_1__,
+                       __SSE4_2__, __BMI2__), which would make a kernel's
+                       ISA a build option. Wider kernels are compiled per
+                       function with __attribute__((target(...))) and
+                       picked at run time, as geo/node_scan.cc does;
+                       __SSE2__ and __x86_64__ stay legal.
   no-tracked-build     No tracked path may start with "build" (anchored;
                        bench/ablation_tree_build.cc is fine).
   golden-schema        Committed golden/*.json baselines must be valid JSON
@@ -133,6 +142,13 @@ INTRINSICS_TOKENS = [
     "<avx2intrin.h>",
     "<x86intrin.h>",
 ]
+
+# runtime-isa: a compile-time test of an extension past the x86-64
+# baseline. Word-anchored so __SSE2__ and __x86_64__ never match.
+RUNTIME_ISA_DIRS = ("src",)
+RUNTIME_ISA_MACRO = re.compile(
+    r"\b__(?:AVX\w*|FMA|SSE3|SSSE3|SSE4_1|SSE4_2|BMI2)__\b"
+)
 
 GLOBAL_DIRS = ("src",)
 GLOBAL_ALLOWLIST = (
@@ -264,6 +280,9 @@ def lint_file(path, rel, errors):
             for token in INTRINSICS_TOKENS:
                 if token in code:
                     report("no-raw-intrinsics", token)
+        if rel.startswith(RUNTIME_ISA_DIRS):
+            for match in RUNTIME_ISA_MACRO.finditer(code):
+                report("runtime-isa", match.group(0))
         if (
             rel.startswith(GLOBAL_DIRS)
             and rel not in GLOBAL_ALLOWLIST
@@ -379,6 +398,24 @@ def self_test():
         # The allowlist is the directory, not the prefix string.
         ("src/geometry.cc", "#include <immintrin.h>\n", "no-raw-intrinsics"),
         ("src/join/x.cc", "// <immintrin.h> only in a comment\n", None),
+        # runtime-isa: a kernel whose ISA a build flag picks is a
+        # violation…
+        (
+            "src/geo/x.cc",
+            "#if defined(__AVX2__)\nconstexpr int kWidth = 4;\n"
+            "#elif defined(__AVX512F__)\nconstexpr int kWidth = 8;\n#endif\n",
+            "runtime-isa",
+        ),
+        # …while the x86-64 baseline, per-function targets picked at run
+        # time, and comments naming the macros are clean.
+        (
+            "src/geo/x.cc",
+            "#if defined(__x86_64__) && defined(__SSE2__)\n"
+            "// Not #if defined(__AVX2__): the CPU decides at run time.\n"
+            '__attribute__((target("avx2"))) void ScanAvx2();\n'
+            "#endif\n",
+            None,
+        ),
         # The annotated wrapper layer is the one legal home for raw
         # std::mutex…
         ("src/util/mutex.h", "#include <mutex>\nstd::mutex mu_;\n", None),
