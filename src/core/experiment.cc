@@ -156,8 +156,35 @@ std::vector<StatusOr<JoinResult>> ExperimentDriver::RunAll(
       }
     }
   }
+  // One plan per distinct key, built here before the pool starts; the
+  // runs only read it. A config that fails its checks gets its own error
+  // and builds nothing.
+  std::vector<JoinPlan> plans;
+  std::vector<size_t> plan_of(configs.size(), 0);
+  for (size_t i = 0; i < configs.size(); ++i) {
+    if (skip[i] != 0) {
+      continue;
+    }
+    const JoinPlanKey key = JoinPlanKey::Of(configs[i]);
+    const auto built = std::find_if(
+        plans.begin(), plans.end(),
+        [&key](const JoinPlan& plan) { return plan.key() == key; });
+    if (built != plans.end()) {
+      plan_of[i] = static_cast<size_t>(built - plans.begin());
+      continue;
+    }
+    StatusOr<JoinPlan> plan = join.BuildPlan(configs[i]);
+    if (!plan.ok()) {
+      results[i] = plan.status();
+      skip[i] = 1;
+      continue;
+    }
+    plan_of[i] = plans.size();
+    plans.push_back(std::move(plan).value());
+  }
   std::atomic<size_t> next{0};
-  const auto worker = [&join, &configs, &results, &next, &skip] {
+  const auto worker = [&join, &configs, &results, &next, &skip, &plans,
+                       &plan_of] {
     for (;;) {
       // order: relaxed — the cursor only partitions the config index space;
       // each results[i] slot is written by exactly one worker and read by
@@ -169,7 +196,7 @@ std::vector<StatusOr<JoinResult>> ExperimentDriver::RunAll(
       if (skip[i] != 0) {
         continue;
       }
-      results[i] = join.Run(configs[i]);
+      results[i] = join.Run(configs[i], plans[plan_of[i]]);
     }
   };
   const int helpers =

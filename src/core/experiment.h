@@ -101,7 +101,9 @@ TieBreakInvarianceReport VerifyTieBreakInvariance(
 /// scheduler, disk array and buffer pool; the trees and object stores are
 /// only read), so the sweep parallelizes perfectly: results are
 /// bit-identical to sequential execution, in input order, regardless of
-/// pool width or completion order.
+/// pool width or completion order. Most of a sweep's configs share one
+/// JoinPlanKey, so the driver builds one JoinPlan per distinct key, once
+/// per RunAll call, and every run of that key reads it.
 class ExperimentDriver {
  public:
   /// `num_threads <= 0` resolves to DefaultNumThreads().
@@ -114,11 +116,16 @@ class ExperimentDriver {
   /// the hardware concurrency (at least 1).
   static int DefaultNumThreads();
 
-  /// Runs every config through `join.Run()` on the pool. The caller's
-  /// thread participates, so RunAll(join, {c}) adds no thread overhead.
-  /// Traced configs are supported — each run records into its own sink —
-  /// but two configs sharing one TraceSink would interleave their events,
-  /// so all but the first such config fail with InvalidArgument.
+  /// Runs every config through `join.Run()` on the pool. First, on the
+  /// calling thread, it builds one plan per distinct JoinPlanKey of the
+  /// configs (`join.BuildPlan()`); the runs then share each plan read-only
+  /// through `join.Run(config, plan)`. No plan outlives the call. A config
+  /// that fails its checks returns its error and the others still run.
+  /// The caller's thread participates in the pool, so RunAll(join, {c})
+  /// adds no thread overhead. Traced configs are supported — each run
+  /// records into its own sink — but two configs sharing one TraceSink
+  /// would interleave their events, so all but the first such config fail
+  /// with InvalidArgument.
   std::vector<StatusOr<JoinResult>> RunAll(
       const ParallelSpatialJoin& join,
       const std::vector<ParallelJoinConfig>& configs) const;

@@ -9,12 +9,18 @@
 #include "core/task_pool.h"
 #include "core/workload.h"
 #include "join/node_match.h"
-#include "join/second_filter.h"
 #include "trace/trace_sink.h"
 #include "util/string_util.h"
 
 namespace psj {
 namespace {
+
+/// The simulated task pool's work item: a node pair, named by its index in
+/// the join plan.
+struct PlanItem {
+  uint32_t pair = 0;
+  int16_t level = 0;
+};
 
 /// One simulated join run. Owns every piece of shared simulation state; the
 /// simulated processors access it at their virtual-time sync points (the
@@ -23,14 +29,12 @@ namespace {
 class JoinDriver {
  public:
   JoinDriver(const RStarTree& tree_r, const RStarTree& tree_s,
-             const ObjectStore* objects_r, const ObjectStore* objects_s,
-             const ParallelJoinConfig& config)
+             const JoinPlan& plan, const ParallelJoinConfig& config)
       : tree_r_(tree_r),
         tree_s_(tree_s),
         cache_r_(tree_r.sealed()),
         cache_s_(tree_s.sealed()),
-        objects_r_(objects_r),
-        objects_s_(objects_s),
+        plan_(plan),
         config_(config),
         match_options_{config.use_search_space_restriction,
                        config.use_plane_sweep},
@@ -69,15 +73,6 @@ class JoinDriver {
     stats_.assign(static_cast<size_t>(n), ProcessorStats());
     candidate_pairs_.resize(static_cast<size_t>(n));
     answer_pairs_.resize(static_cast<size_t>(n));
-    if (config_.use_second_filter) {
-      // The section approximations live in the geometry clusters in the
-      // paper's storage scheme, so their I/O rides along with the data
-      // page access; here they are precomputed per store.
-      second_filter_r_ = std::make_unique<SecondFilter>(
-          *objects_r_, config_.second_filter_sections);
-      second_filter_s_ = std::make_unique<SecondFilter>(
-          *objects_s_, config_.second_filter_sections);
-    }
     for (int i = 0; i < n; ++i) {
       stats_regions_.emplace_back(StringPrintf("join.stats.cpu%d", i));
     }
@@ -128,6 +123,7 @@ class JoinDriver {
     result.stats.Finalize(disks_.total_accesses(),
                           disks_.total_queue_wait());
     if (config_.collect_pairs) {
+      result.candidate_pairs.reserve(plan_.num_candidates());
       for (auto& pairs : candidate_pairs_) {
         result.candidate_pairs.insert(result.candidate_pairs.end(),
                                       pairs.begin(), pairs.end());
@@ -183,7 +179,7 @@ class JoinDriver {
                 static_cast<sim::SimTime>(counts.pairs_tested) *
                     config_.costs.cpu_per_pair_tested);
     };
-    JoinTaskSet tasks = BuildJoinTasks(
+    const JoinTaskSet tasks = BuildJoinTasks(
         tree_r_, tree_s_, config_.num_processors,
         config_.task_creation_factor, match_options_, hooks, &match_scratch_);
     p.Advance(static_cast<sim::SimTime>(tasks.tasks.size()) *
@@ -191,7 +187,20 @@ class JoinDriver {
     num_tasks_ = static_cast<int64_t>(tasks.tasks.size());
     task_level_ = tasks.task_level;
 
-    pool_.Assign(config_.assignment, tasks.tasks, task_level_);
+    // The tasks are the plan's pairs at the task level, in the same order:
+    // both come from the same breadth-first descent.
+    std::vector<PlanItem> items;
+    items.reserve(tasks.tasks.size());
+    const size_t first = plan_.FirstPairAt(task_level_);
+    for (size_t k = 0; k < tasks.tasks.size(); ++k) {
+      const JoinPlan::Pair& planned = plan_.pair(first + k);
+      PSJ_CHECK(planned.page_r == tasks.tasks[k].page_r &&
+                planned.page_s == tasks.tasks[k].page_s)
+          << "task " << k << " is not the plan's pair " << first + k;
+      items.push_back(PlanItem{static_cast<uint32_t>(first + k),
+                               planned.level});
+    }
+    pool_.Assign(config_.assignment, items, task_level_);
     task_creation_time_ = p.now();
     if (trace_ != nullptr) {
       trace_->Span(p.id(), trace::Category::kTaskCreation, "task creation",
@@ -216,17 +225,18 @@ class JoinDriver {
   void WorkLoop(sim::Process& p) {
     const size_t cpu = static_cast<size_t>(p.id());
     for (;;) {
-      std::optional<NodePair> item = pool_.NextItem(p);
+      std::optional<PlanItem> item = pool_.NextItem(p);
       if (item.has_value()) {
         const sim::SimTime start = p.now();
-        ExecutePair(p, *item);
+        const JoinPlan::Pair& pair = plan_.pair(item->pair);
+        ExecutePair(p, pair);
         pool_.FinishItem(p.id());
         stats_regions_[cpu].NoteWrite(p, "JoinDriver::WorkLoop/accumulate");
         stats_[cpu].busy_time += p.now() - start;
         stats_[cpu].last_work_time = p.now();
         if (trace_ != nullptr) {
           trace_->Span(p.id(), trace::Category::kTask, "task", start, p.now(),
-                       item->page_r, item->page_s);
+                       pair.page_r, pair.page_s);
           task_duration_histogram_->Record(p.now() - start);
         }
         continue;
@@ -244,35 +254,30 @@ class JoinDriver {
     }
   }
 
-  void ExecutePair(sim::Process& p, const NodePair& pair) {
+  // Charges one node pair exactly as matching it and refining its
+  // candidates would; the results come from the plan.
+  void ExecutePair(sim::Process& p, const JoinPlan::Pair& pair) {
     const size_t cpu = static_cast<size_t>(p.id());
     ChargeFetch(p, tree_r_, pair.page_r, pair.level);
-    const NodeSoAView nr = cache_r_.view(pair.page_r);
     ChargeFetch(p, tree_s_, pair.page_s, pair.level);
-    const NodeSoAView ns = cache_s_.view(pair.page_s);
-    NodeMatchCounts counts;
-    const auto matches =
-        MatchNodeEntriesSoA(nr, ns, match_options_, &counts, &match_scratch_);
-    p.Advance(static_cast<sim::SimTime>(counts.entries_considered_r +
-                                        counts.entries_considered_s) *
+    p.Advance(static_cast<sim::SimTime>(pair.entries_considered) *
                   config_.costs.cpu_per_entry_sorted +
-              static_cast<sim::SimTime>(counts.pairs_tested) *
+              static_cast<sim::SimTime>(pair.pairs_tested) *
                   config_.costs.cpu_per_pair_tested);
     ++stats_[cpu].node_pairs_processed;
     if (trace_ != nullptr) {
       trace_->Instant(p.id(), trace::Category::kNodePair, "node pair",
-                      p.now(), static_cast<int64_t>(matches.size()),
-                      pair.level);
+                      p.now(), static_cast<int64_t>(pair.count), pair.level);
     }
 
     if (pair.level > 0) {
       // Directory pair: the matched child pairs become pending work, in
       // local plane-sweep order.
-      std::vector<NodePair> children;
-      children.reserve(matches.size());
-      for (const auto& [i, j] : matches) {
-        children.push_back(NodePair{nr.child_page(i), ns.child_page(j),
-                                    static_cast<int16_t>(pair.level - 1)});
+      std::vector<PlanItem> children;
+      children.reserve(pair.count);
+      for (uint32_t k = pair.first; k < pair.first + pair.count; ++k) {
+        children.push_back(
+            PlanItem{k, static_cast<int16_t>(pair.level - 1)});
       }
       pool_.Push(p, children);
       return;
@@ -281,20 +286,21 @@ class JoinDriver {
     // Data page pair: every matched entry pair is a candidate; the same
     // processor performs the refinement step (§3), whose exact-geometry
     // test is charged as a waiting period derived from the MBR overlap.
-    for (const auto& [i, j] : matches) {
-      const uint64_t id_r = nr.ids[i];
-      const uint64_t id_s = ns.ids[j];
+    const NodeSoAView nr = cache_r_.view(pair.page_r);
+    const NodeSoAView ns = cache_s_.view(pair.page_s);
+    for (const JoinPlan::Candidate& candidate : plan_.candidates(pair)) {
+      const uint64_t id_r = nr.ids[candidate.entry_r];
+      const uint64_t id_s = ns.ids[candidate.entry_s];
       ++stats_[cpu].candidates;
       if (config_.use_second_filter) {
         // Second filter step: cheap section-MBR screening; a proven false
-        // hit skips the expensive exact-geometry waiting period.
-        size_t tests = 0;
-        const bool possible = SecondFilter::CanIntersect(
-            second_filter_r_->sections(id_r),
-            second_filter_s_->sections(id_s), &tests);
-        p.Advance(static_cast<sim::SimTime>(tests) *
+        // hit skips the expensive exact-geometry waiting period. The
+        // section approximations live in the geometry clusters in the
+        // paper's storage scheme, so their I/O rides along with the data
+        // page access.
+        p.Advance(static_cast<sim::SimTime>(candidate.filter_tests) *
                   config_.costs.cpu_per_pair_tested);
-        if (!possible) {
+        if (!candidate.passes_filter) {
           ++stats_[cpu].second_filter_eliminated;
           if (config_.collect_pairs) {
             candidate_pairs_[cpu].emplace_back(id_r, id_s);
@@ -303,25 +309,20 @@ class JoinDriver {
           continue;
         }
       }
-      const sim::SimTime refine_cost =
-          config_.costs.RefinementCost(nr.rects.rect(i), ns.rects.rect(j));
+      const sim::SimTime refine_cost = config_.costs.RefinementCost(
+          nr.rects.rect(candidate.entry_r), ns.rects.rect(candidate.entry_s));
       if (trace_ != nullptr) {
         trace_->Span(p.id(), trace::Category::kRefinement, "refinement",
                      p.now(), p.now() + refine_cost);
       }
       p.Advance(refine_cost);
       stats_[cpu].refinement_time += refine_cost;
-      bool is_answer = false;
-      if (config_.compute_answers) {
-        is_answer = objects_r_->Get(id_r).geometry.Intersects(
-            objects_s_->Get(id_s).geometry);
-        if (is_answer) {
-          ++stats_[cpu].answers;
-        }
+      if (candidate.is_answer) {
+        ++stats_[cpu].answers;
       }
       if (config_.collect_pairs) {
         candidate_pairs_[cpu].emplace_back(id_r, id_s);
-        if (is_answer) {
+        if (candidate.is_answer) {
           answer_pairs_[cpu].emplace_back(id_r, id_s);
         }
       }
@@ -356,13 +357,10 @@ class JoinDriver {
   const RStarTree& tree_s_;
   const NodeSoACache& cache_r_;
   const NodeSoACache& cache_s_;
-  const ObjectStore* objects_r_;
-  const ObjectStore* objects_s_;
+  const JoinPlan& plan_;
   const ParallelJoinConfig& config_;
   const NodeMatchOptions match_options_;
-  // Matching scratch shared by all simulated processors: the node match
-  // never yields to the scheduler mid-call, so reuse is race free and kills
-  // the per-node-pair allocations.
+  // Task creation's matching scratch.
   NodeMatchScratch match_scratch_;
   const int num_levels_;
 
@@ -373,10 +371,8 @@ class JoinDriver {
 
   // ---- Shared state (the "shared virtual memory") ----
   check::Cell<bool> tasks_ready_{"join.tasks_ready"};
-  TaskPool<NodePair> pool_;
+  TaskPool<PlanItem> pool_;
   std::vector<PathBuffer> path_buffers_;
-  std::unique_ptr<SecondFilter> second_filter_r_;
-  std::unique_ptr<SecondFilter> second_filter_s_;
 
   // ---- Observability (null when tracing is disabled) ----
   trace::TraceSink* trace_ = nullptr;
@@ -408,7 +404,7 @@ ParallelSpatialJoin::ParallelSpatialJoin(const RStarTree* tree_r,
   PSJ_CHECK(tree_s != nullptr);
 }
 
-StatusOr<JoinResult> ParallelSpatialJoin::Run(
+Status ParallelSpatialJoin::CheckInputs(
     const ParallelJoinConfig& config) const {
   PSJ_RETURN_IF_ERROR(config.Validate());
   if (tree_r_ != tree_s_ && tree_r_->tree_id() == tree_s_->tree_id()) {
@@ -424,7 +420,34 @@ StatusOr<JoinResult> ParallelSpatialJoin::Run(
     return Status::FailedPrecondition(
         "the join reads sealed trees; call RStarTree::Seal() first");
   }
-  JoinDriver driver(*tree_r_, *tree_s_, objects_r_, objects_s_, config);
+  return Status::OK();
+}
+
+StatusOr<JoinPlan> ParallelSpatialJoin::BuildPlan(
+    const ParallelJoinConfig& config) const {
+  PSJ_RETURN_IF_ERROR(CheckInputs(config));
+  return JoinPlan::Build(*tree_r_, *tree_s_, objects_r_, objects_s_,
+                         JoinPlanKey::Of(config));
+}
+
+StatusOr<JoinResult> ParallelSpatialJoin::Run(
+    const ParallelJoinConfig& config) const {
+  PSJ_ASSIGN_OR_RETURN(const JoinPlan plan, BuildPlan(config));
+  return Run(config, plan);
+}
+
+StatusOr<JoinResult> ParallelSpatialJoin::Run(const ParallelJoinConfig& config,
+                                              const JoinPlan& plan) const {
+  PSJ_RETURN_IF_ERROR(CheckInputs(config));
+  if (!plan.IsFor(tree_r_, tree_s_, objects_r_, objects_s_)) {
+    return Status::InvalidArgument(
+        "the join plan was built for other trees or object stores");
+  }
+  if (!(plan.key() == JoinPlanKey::Of(config))) {
+    return Status::InvalidArgument(
+        "the join plan was built for other match, filter or answer options");
+  }
+  JoinDriver driver(*tree_r_, *tree_s_, plan, config);
   return driver.Run();
 }
 

@@ -2,6 +2,7 @@
 #define PSJ_CORE_PARALLEL_JOIN_H_
 
 #include "core/join_config.h"
+#include "core/join_plan.h"
 #include "core/join_stats.h"
 #include "data/map_object.h"
 #include "rtree/rstar_tree.h"
@@ -21,8 +22,17 @@ namespace psj {
 /// reassignment strategy, and reports virtual-time statistics (response
 /// time, disk accesses, per-processor finish times, ...).
 ///
-/// Thread safety: Run() is synchronous and may be called repeatedly; the
-/// trees and object stores must outlive the call and are not modified.
+/// The simulated processors schedule work and charge its virtual time; the
+/// geometry comes from a JoinPlan. Which node pairs match, which
+/// candidates pass the second filter and which are answers depend on the
+/// trees and the JoinPlanKey alone, so a plan built once serves every
+/// config of its key: Run(config) builds one for the call, and
+/// ExperimentDriver::RunAll builds one per distinct key of a sweep and
+/// passes it to Run(config, plan).
+///
+/// Thread safety: Run() is synchronous and may be called repeatedly and
+/// concurrently; the trees, object stores and plan must outlive the call
+/// and are not modified.
 class ParallelSpatialJoin {
  public:
   /// `objects_r/s` provide the exact geometry for the ground-truth
@@ -33,11 +43,24 @@ class ParallelSpatialJoin {
                       const ObjectStore* objects_r,
                       const ObjectStore* objects_s);
 
-  /// Simulates one parallel join under `config`. FailedPrecondition when
+  /// The plan of JoinPlanKey::Of(config) over this join's inputs, after the
+  /// checks Run() makes.
+  StatusOr<JoinPlan> BuildPlan(const ParallelJoinConfig& config) const;
+
+  /// Simulates one parallel join under `config` on a plan built for this
+  /// call. InvalidArgument for an invalid config; FailedPrecondition when
   /// either tree is not sealed.
   StatusOr<JoinResult> Run(const ParallelJoinConfig& config) const;
 
+  /// Run(config) on `plan`, which must come from BuildPlan() of this join
+  /// (or of one over the same inputs) for a config of the same JoinPlanKey;
+  /// InvalidArgument otherwise.
+  StatusOr<JoinResult> Run(const ParallelJoinConfig& config,
+                           const JoinPlan& plan) const;
+
  private:
+  Status CheckInputs(const ParallelJoinConfig& config) const;
+
   const RStarTree* tree_r_;
   const RStarTree* tree_s_;
   const ObjectStore* objects_r_;

@@ -22,13 +22,4 @@ std::vector<uint32_t> SortedOrderByXl(std::span<const Rect> rects) {
   return order;
 }
 
-bool IsSortedByXl(std::span<const Rect> rects) {
-  for (size_t i = 1; i < rects.size(); ++i) {
-    if (rects[i - 1].xl > rects[i].xl) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace psj

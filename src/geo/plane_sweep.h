@@ -14,9 +14,6 @@ namespace psj {
 /// required by the plane-sweep join of §2.2.
 std::vector<uint32_t> SortedOrderByXl(std::span<const Rect> rects);
 
-/// True iff `rects` is sorted ascending by xl.
-bool IsSortedByXl(std::span<const Rect> rects);
-
 /// \brief Scalar reference implementation of the plane-sweep rectangle
 /// intersection join over two x-sorted sequences (the paper's §2.2
 /// algorithm, after [BKS 93]).

@@ -52,9 +52,6 @@ TEST(SortedOrderTest, SortsByXlWithStableTies) {
   EXPECT_EQ(order[0], 1u);  // xl == 1, lower index first.
   EXPECT_EQ(order[1], 2u);
   EXPECT_EQ(order[2], 0u);
-  EXPECT_FALSE(IsSortedByXl(rects));
-  std::vector<Rect> sorted = {rects[1], rects[2], rects[0]};
-  EXPECT_TRUE(IsSortedByXl(sorted));
 }
 
 TEST(PlaneSweepTest, SmallHandComputedExample) {

@@ -60,6 +60,13 @@ leak into simulated results.
                        call and no RTreeNode there. The AoS node is the
                        build and persistence image of src/rtree; RTreeEntry
                        stays legal as the partition join's input type.
+  sim-reads-plan       The simulated join (src/core/parallel_join.cc)
+                       charges virtual time for geometry it reads from the
+                       JoinPlan: no MatchNodeEntriesSoA, MatchNodePages,
+                       SecondFilter or .geometry/->geometry there, so node
+                       matching, the second filter and the exact polyline
+                       test run once per plan (src/core/join_plan.cc), not
+                       once per simulated configuration.
   metric-names         Every metric registered through the obs registry
                        (DefineCounter/DefineGauge/DefineHistogram with a
                        string literal) is snake_case with a unit suffix:
@@ -177,6 +184,14 @@ PHASE_MUTATOR = re.compile(
 # Directory prefixes, "/"-anchored.
 SEALED_READ_DIRS = ("src/core/", "src/join/", "src/native/", "src/serve/")
 SEALED_READ_TOKEN = re.compile(r"(?:\.|->)node\(|\bRTreeNode\b")
+
+# sim-reads-plan: the simulated join computes no geometry; the join plan
+# does, once per plan key.
+SIM_READS_PLAN_FILES = ("src/core/parallel_join.cc",)
+SIM_READS_PLAN_TOKEN = re.compile(
+    r"\b(?:MatchNodeEntriesSoA|MatchNodePages|SecondFilter)\b"
+    r"|(?:\.|->)geometry\b"
+)
 
 # memory-order-audit: explicit orders need a rationale comment; the
 # native-threaded directories may not fall back to the seq_cst default.
@@ -307,6 +322,9 @@ def lint_file(path, rel, errors):
         if rel.startswith(SEALED_READ_DIRS):
             for match in SEALED_READ_TOKEN.finditer(code):
                 report("sealed-reads", match.group(0))
+        if rel in SIM_READS_PLAN_FILES:
+            for match in SIM_READS_PLAN_TOKEN.finditer(code):
+                report("sim-reads-plan", match.group(0))
         if rel.startswith(MEMORY_ORDER_DIRS):
             explicit = MEMORY_ORDER_EXPLICIT.search(code)
             if explicit and not has_order_rationale(raw_lines, lineno - 1):
@@ -480,6 +498,31 @@ def self_test():
         ),
         # …and src/rtree, which builds and persists the AoS node, is exempt.
         ("src/rtree/x.cc", "const RTreeNode& n = node(root_page_);\n", None),
+        # sim-reads-plan: the simulated join matching nodes or testing
+        # polylines itself is a violation…
+        (
+            "src/core/parallel_join.cc",
+            "const auto matches = MatchNodeEntriesSoA(nr, ns, options_);\n"
+            "if (SecondFilter::CanIntersect(a, b, &tests)) {\n"
+            "  hit = objects_r_->Get(id_r).geometry.Intersects(g);\n"
+            "}\n",
+            "sim-reads-plan",
+        ),
+        # …while reading the plan, and comments naming the old calls, are
+        # clean; the plan builder itself is exempt.
+        (
+            "src/core/parallel_join.cc",
+            "// Not MatchNodeEntriesSoA or SecondFilter: the plan has them.\n"
+            "for (const JoinPlan::Candidate& c : plan_.candidates(pair)) {\n"
+            "  if (c.is_answer) ++answers;\n"
+            "}\n",
+            None,
+        ),
+        (
+            "src/core/join_plan.cc",
+            "const auto matches = MatchNodeEntriesSoA(nr, ns, options);\n",
+            None,
+        ),
         # memory-order-audit: explicit orders need an adjacent "order:"
         # rationale comment…
         (
