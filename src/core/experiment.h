@@ -31,8 +31,8 @@ struct PaperWorkloadSpec {
 class PaperWorkload {
  public:
   /// Generates both maps and builds their trees by R* insertion: about
-  /// 0.1 s at scale 0.05 and a few seconds at full scale on one x86-64
-  /// core, so every consumer builds fresh rather than caching trees.
+  /// 0.1 s at scale 0.05 and under 2 s at full scale on one x86-64 core
+  /// with AVX2, so every consumer builds fresh rather than caching trees.
   explicit PaperWorkload(const PaperWorkloadSpec& spec = PaperWorkloadSpec());
 
   PaperWorkload(const PaperWorkload&) = delete;

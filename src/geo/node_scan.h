@@ -13,13 +13,14 @@ namespace psj {
 /// \brief Branchless intra-node MBR scan kernels over SoA views.
 ///
 /// The scan dispatches at run time between scalar, SSE2 and AVX2 variants,
-/// so a baseline build still runs the wide scan on hardware that has it;
-/// the one wider-than-baseline kernel of src/geo is compiled per function
-/// with __attribute__((target(...))), never by a build flag. All variants
-/// emit bit-identical results in ascending index order (the contract every
-/// golden baseline and perturbation gate depends on); the variant entry
-/// points exist so the micro benchmarks and property tests can pin each one
-/// down.
+/// and the overlap-enlargement kernel between scalar and AVX2 ones, so a
+/// baseline build still runs the wide kernels on hardware that has them;
+/// src/geo's wider-than-baseline kernels are compiled per function with
+/// __attribute__((target(...))), never by a build flag. All variants emit
+/// bit-identical results (the scan in ascending index order: the contract
+/// every golden baseline and perturbation gate depends on); the variant
+/// entry points exist so the micro benchmarks and property tests can pin
+/// each one down.
 
 /// The instruction set ScanIntersecting dispatches to on this machine
 /// ("avx2", "sse2", or "scalar"). This is detected from the CPU, not the
@@ -43,6 +44,36 @@ void ScanIntersectingSse2(const RectSoAView& node, const Rect& query,
                           std::vector<uint32_t>* out_ids);
 void ScanIntersectingAvx2(const RectSoAView& node, const Rect& query,
                           std::vector<uint32_t>* out_ids);
+
+/// \brief The overlap enlargements of R* ChooseSubtree rule CS2 for every
+/// rectangle of a node at once.
+///
+/// Fills `*out` (resized to node.size) with out[c] = after_c - before_c.
+/// Here before_c is the sum over j != c, in ascending j, of
+/// node.rect(c).IntersectionArea(node.rect(j)), and after_c the same sum
+/// with E_c = node.rect(c).UnionWith(rect) in place of node.rect(c). Every
+/// variant returns exactly these doubles for any non-NaN coordinates,
+/// infinities included (DESIGN.md §12, "Exact ChooseSubtree"). The scalar
+/// variant scans into `scratch_ids`.
+void OverlapEnlargements(const RectSoAView& node, const Rect& rect,
+                         std::vector<uint32_t>* scratch_ids,
+                         std::vector<double>* out);
+
+/// out[c] of OverlapEnlargements for the one candidate `c` < node.size:
+/// ScanIntersecting with E_c, then both sums over the siblings it reports.
+/// Every other sibling adds +0.0 to both sums, which leaves them unchanged.
+double OverlapEnlargement(const RectSoAView& node, size_t c, const Rect& rect,
+                          std::vector<uint32_t>* scratch_ids);
+
+/// Forced variants: the scalar one runs OverlapEnlargement per candidate;
+/// the AVX2 one, which must only be called when NodeScanHasAvx2() is true,
+/// carries four candidates per vector over every sibling.
+void OverlapEnlargementsScalar(const RectSoAView& node, const Rect& rect,
+                               std::vector<uint32_t>* scratch_ids,
+                               std::vector<double>* out);
+void OverlapEnlargementsAvx2(const RectSoAView& node, const Rect& rect,
+                             std::vector<uint32_t>* scratch_ids,
+                             std::vector<double>* out);
 
 /// Fills `*out_ids` (after clearing it) with the view's indices in the
 /// order `x_order` lists them, keeping only the rectangles that intersect

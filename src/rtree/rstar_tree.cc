@@ -45,32 +45,9 @@ struct ChooseScratch {
   std::vector<double> area;
   std::vector<double> area_delta;
   std::vector<double> overlap_delta;
-  std::vector<uint32_t> order;
   std::vector<uint32_t> hits;
   RectBatch batch;
 };
-
-// Overlap enlargement of entries[c] when grown to include `rect`: the two
-// sums of the direct definition in the same ascending sibling order, over
-// only the siblings the node scan finds touching the enlarged rect. Every
-// other sibling lies strictly outside both the enlarged and the original
-// candidate, so both of its IntersectionArea terms are exactly +0.0, and
-// adding +0.0 leaves a non-negative sum bit-identical.
-double OverlapEnlargement(std::span<const RTreeEntry> entries,
-                          const RectSoAView& node, size_t c, const Rect& rect,
-                          std::vector<uint32_t>* hits) {
-  const Rect& candidate = entries[c].rect;
-  const Rect enlarged = candidate.UnionWith(rect);
-  ScanIntersecting(node, enlarged, hits);
-  double before = 0.0;
-  double after = 0.0;
-  for (const uint32_t j : *hits) {
-    if (j == c) continue;
-    before += candidate.IntersectionArea(entries[j].rect);
-    after += enlarged.IntersectionArea(entries[j].rect);
-  }
-  return after - before;
-}
 
 }  // namespace
 
@@ -81,10 +58,9 @@ size_t ChooseLeastOverlapEnlargement(std::span<const RTreeEntry> entries,
   const size_t n = entries.size();
   s.area.resize(n);
   s.area_delta.resize(n);
-  s.overlap_delta.resize(n);
-  // The ordered search below needs every key finite. A finite sum of the
-  // areas bounds every overlap sum (each term is at most its sibling's
-  // area), so it also rules out overflowing overlap sums.
+  // The shortcut below needs every key finite. A finite sum of the areas
+  // bounds every overlap sum (each term is at most its sibling's area), so
+  // it also rules out overflowing overlap sums.
   double area_sum = 0.0;
   bool finite = true;
   for (size_t i = 0; i < n; ++i) {
@@ -101,47 +77,30 @@ size_t ChooseLeastOverlapEnlargement(std::span<const RTreeEntry> entries,
 
   if (finite) {
     // Overlap enlargements are never negative (every operation in the two
-    // sums is monotone under round-to-nearest), so the first exact zero in
-    // (area enlargement, area, index) order wins the lexicographic fold
-    // below outright. A candidate containing `rect` is not enlarged at
-    // all: both sums are the same finite value, the difference exactly 0.
-    const auto key_less = [&](uint32_t a, uint32_t b) {
-      if (s.area_delta[a] != s.area_delta[b]) {
-        return s.area_delta[a] < s.area_delta[b];
+    // sums is monotone under round-to-nearest), so the first candidate in
+    // (area enlargement, area, index) order wins the fold below outright
+    // if its overlap enlargement is exactly 0. A candidate containing
+    // `rect` is not enlarged at all: both sums are the same finite value.
+    // About seven calls in ten on the mixed paper map end here, and nine in
+    // ten on the streets map.
+    size_t first = 0;
+    for (size_t i = 1; i < n; ++i) {
+      if (s.area_delta[i] < s.area_delta[first] ||
+          (s.area_delta[i] == s.area_delta[first] &&
+           s.area[i] < s.area[first])) {
+        first = i;
       }
-      if (s.area[a] != s.area[b]) return s.area[a] < s.area[b];
-      return a < b;
-    };
-    const auto overlap_zero = [&](uint32_t c) {
-      if (entries[c].rect.Contains(rect)) return true;
-      s.overlap_delta[c] = OverlapEnlargement(entries, node, c, rect, &s.hits);
-      return s.overlap_delta[c] == 0.0;
-    };
-    // On the paper maps four calls in five end at the first candidate of
-    // that order: find it in one pass and sort the rest only on a miss.
-    uint32_t first = 0;
-    for (uint32_t i = 1; i < n; ++i) {
-      if (key_less(i, first)) first = i;
     }
-    if (overlap_zero(first)) return first;
-    s.order.clear();
-    for (uint32_t i = 0; i < n; ++i) {
-      if (i != first) s.order.push_back(i);
-    }
-    std::sort(s.order.begin(), s.order.end(), key_less);
-    for (const uint32_t c : s.order) {
-      if (overlap_zero(c)) return c;
-    }
-  } else {
-    // Non-finite keys (areas overflow beyond about 1e154) break that
-    // order, and the direct definition's fold never selects a NaN key:
-    // evaluate every candidate and fold exactly as it does.
-    for (size_t c = 0; c < n; ++c) {
-      s.overlap_delta[c] = OverlapEnlargement(entries, node, c, rect, &s.hits);
+    if (entries[first].rect.Contains(rect) ||
+        OverlapEnlargement(node, first, rect, &s.hits) == 0.0) {
+      return first;
     }
   }
 
-  // No exact zero: the direct definition's fold over every candidate.
+  // The direct definition: every candidate's overlap enlargement, then the
+  // fold over (overlap enlargement, area enlargement, area) in index order,
+  // which also decides for non-finite keys.
+  OverlapEnlargements(node, rect, &s.hits, &s.overlap_delta);
   size_t best = 0;
   double best_overlap_delta = std::numeric_limits<double>::infinity();
   double best_area_delta = std::numeric_limits<double>::infinity();

@@ -67,10 +67,12 @@ struct RTreeShapeStats {
 /// Returns exactly the index of the direct definition — for every
 /// candidate, sum the intersection areas with all n-1 siblings before and
 /// after enlarging, in ascending sibling order, then fold over the
-/// candidates in index order — while skipping siblings the node scan finds
-/// disjoint and stopping at the first exact-zero overlap enlargement in
-/// (area enlargement, area, index) order. DESIGN.md §12 ("Exact
-/// ChooseSubtree") gives the bit-identity argument.
+/// candidates in index order. With finite keys it first tries the first
+/// candidate in (area enlargement, area, index) order, which wins outright
+/// if its overlap enlargement is exactly 0; otherwise one
+/// OverlapEnlargements call (geo/node_scan.h) yields every candidate's sums
+/// for the fold. DESIGN.md §12 ("Exact ChooseSubtree") gives the
+/// bit-identity argument.
 size_t ChooseLeastOverlapEnlargement(std::span<const RTreeEntry> entries,
                                      const Rect& rect);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "rtree/node.h"
 
@@ -91,6 +92,22 @@ TEST(RTreeNodeTest, UnpackRejectsInvalidRect) {
   const double bad = 1e9;
   std::memcpy(page.data() + kPageHeaderSize, &bad, sizeof(bad));
   EXPECT_TRUE(UnpackNode(page).status().IsCorruption());
+  // A NaN in any coordinate (xl, yl, xu, yu) fails Rect::IsValid() too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t coord = 0; coord < 4; ++coord) {
+    PackNode(node, &page);
+    std::memcpy(page.data() + kPageHeaderSize + coord * sizeof(double), &nan,
+                sizeof(nan));
+    EXPECT_TRUE(UnpackNode(page).status().IsCorruption())
+        << "NaN coordinate " << coord;
+  }
+  // Infinite coordinates still load: the whole plane is a valid rect.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  node.entries[0].rect = Rect(-kInf, -kInf, kInf, kInf);
+  PackNode(node, &page);
+  const StatusOr<RTreeNode> whole_plane = UnpackNode(page);
+  ASSERT_TRUE(whole_plane.ok());
+  EXPECT_EQ(whole_plane->entries[0].rect, node.entries[0].rect);
 }
 
 }  // namespace

@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <ostream>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/experiment.h"
+#include "geo/node_scan.h"
+#include "geo/rect_batch.h"
 #include "rtree/rstar_tree.h"
 #include "rtree/validator.h"
 #include "storage/page_file.h"
@@ -445,6 +450,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RStarTreeValiditySweep,
 
 // ---- The exact leaf-parent chooser against the direct definition ----
 
+// Overlap enlargement of entries[i] by the direct definition: both sums
+// over all n-1 siblings in ascending order.
+double ReferenceOverlapEnlargement(const std::vector<RTreeEntry>& entries,
+                                   size_t i, const Rect& rect) {
+  const Rect& candidate = entries[i].rect;
+  const Rect enlarged = candidate.UnionWith(rect);
+  double overlap_before = 0.0;
+  double overlap_after = 0.0;
+  for (size_t j = 0; j < entries.size(); ++j) {
+    if (j == i) continue;
+    overlap_before += candidate.IntersectionArea(entries[j].rect);
+    overlap_after += enlarged.IntersectionArea(entries[j].rect);
+  }
+  return overlap_after - overlap_before;
+}
+
 // R* CS2 exactly as insertion computed it before the exact chooser: for
 // each candidate, both overlap sums over all n-1 siblings in ascending
 // order, then a fold over the candidates in index order. Kept here only as
@@ -457,15 +478,7 @@ size_t ReferenceChooseLeastOverlap(const std::vector<RTreeEntry>& entries,
   double best_area = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < entries.size(); ++i) {
     const Rect& candidate = entries[i].rect;
-    const Rect enlarged = candidate.UnionWith(rect);
-    double overlap_before = 0.0;
-    double overlap_after = 0.0;
-    for (size_t j = 0; j < entries.size(); ++j) {
-      if (j == i) continue;
-      overlap_before += candidate.IntersectionArea(entries[j].rect);
-      overlap_after += enlarged.IntersectionArea(entries[j].rect);
-    }
-    const double overlap_delta = overlap_after - overlap_before;
+    const double overlap_delta = ReferenceOverlapEnlargement(entries, i, rect);
     const double area_delta = candidate.Enlargement(rect);
     const double area = candidate.Area();
     if (overlap_delta < best_overlap_delta ||
@@ -622,6 +635,34 @@ TEST(ChooseSubtreeTest, FullTiesFallToTheLowestIndex) {
   ExpectSameChoice(segments, Rect(1, 1, 1, 1));
 }
 
+TEST(ChooseSubtreeTest, ZeroOverlapTiesFallToTheLowerIndex) {
+  // B (index 1) and A (index 3) mirror each other around the rect: equal
+  // area enlargement (2.5) and area (1), and neither grows into a sibling.
+  // The strip U only meets enlargements that grow upwards.
+  const Rect u(-5, 1.4, 5, 1.6);
+  const Rect b(2, 0, 3, 1);
+  const Rect a(-3, 0, -2, 1);
+  const Rect rect(-0.5, 0, 0.5, 1);
+  // B comes first in (area enlargement, area, index) order.
+  EXPECT_EQ(ChooseLeastOverlapEnlargement(EntriesOf({u, b, a}), rect), 1u);
+  ExpectSameChoice({u, b, a}, rect);
+  // T (index 2) needs less area enlargement (2) but grows into U, so the
+  // zero-overlap tie is decided after every candidate is evaluated.
+  const Rect t(-0.5, 2, 0.5, 3);
+  EXPECT_EQ(ChooseLeastOverlapEnlargement(EntriesOf({u, b, t, a}), rect), 1u);
+  ExpectSameChoice({u, b, t, a}, rect);
+}
+
+TEST(ChooseSubtreeTest, LateZeroBeatsEarlierOverlaps) {
+  // In (area enlargement, area, index) order: P (2.1) and Q (3.98) both
+  // grow into the strip S, whose own enlargement (5) touches neither.
+  const std::vector<Rect> node = {Rect(0, 3, 1, 4), Rect(2, 2, 3, 2.5),
+                                  Rect(0, 0, 10, 1)};
+  const Rect rect(0.2, 0.9, 0.8, 1.5);
+  EXPECT_EQ(ChooseLeastOverlapEnlargement(EntriesOf(node), rect), 2u);
+  ExpectSameChoice(node, rect);
+}
+
 TEST(ChooseSubtreeTest, OverflowingKeysMatchTheDirectDefinition) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // Finite areas whose overlap sums overflow: a hundred copies of a
@@ -644,14 +685,140 @@ TEST(ChooseSubtreeTest, OverflowingKeysMatchTheDirectDefinition) {
   }
 }
 
-// Every golden figure and exact benchmark count depends on the pages of
-// the insertion-built paper trees. The constants were recorded before the
-// level-1 ChooseSubtree rewrite; a faster insertion path must keep them.
-TEST(RStarTreeFingerprintTest, PaperMapsAtScale005KeepTheirPages) {
-  const PaperWorkload workload(PaperWorkloadSpec().Scaled(0.05));
-  EXPECT_EQ(TreeFingerprint(workload.tree_r()), 0x91d186b7211e263eULL);
-  EXPECT_EQ(TreeFingerprint(workload.tree_s()), 0xb3c1182432545140ULL);
+// ---- The overlap-enlargement kernel against the direct definition ----
+
+using OverlapKernel = void (*)(const RectSoAView&, const Rect&,
+                               std::vector<uint32_t>*, std::vector<double>*);
+
+// Every out[c] must equal ReferenceOverlapEnlargement byte for byte, so
+// -0.0 against +0.0, or another NaN payload, fails.
+void ExpectKernelMatches(OverlapKernel kernel, const std::vector<Rect>& rects,
+                         const Rect& rect) {
+  const std::vector<RTreeEntry> entries = EntriesOf(rects);
+  RectBatch batch;
+  batch.Assign(rects);
+  std::vector<uint32_t> scratch;
+  std::vector<double> out = {42.0};
+  kernel(batch.view(), rect, &scratch, &out);
+  ASSERT_EQ(out.size(), rects.size());
+  for (size_t c = 0; c < rects.size(); ++c) {
+    const double expected = ReferenceOverlapEnlargement(entries, c, rect);
+    ASSERT_EQ(std::memcmp(&out[c], &expected, sizeof(double)), 0)
+        << "n=" << rects.size() << " c=" << c << " got=" << out[c]
+        << " expected=" << expected << " rect=" << rect;
+  }
 }
+
+void ExpectKernelMatchesDirectDefinition(OverlapKernel kernel) {
+  Rng rng(2024);
+  // The frames of MatchesDirectDefinitionOnAdversarialNodes, at every n
+  // from 1 to the directory capacity, so every n mod 4.
+  const std::pair<double, double> kFrames[] = {
+      {1.0, 0.0}, {1e-3, 1e6}, {1e-160, 0.0}, {1e153, 0.0}, {1e160, 0.0}};
+  for (const auto& [scale, offset] : kFrames) {
+    for (size_t n = 1; n <= kMaxDirEntries; ++n) {
+      for (int round = 0; round < 3; ++round) {
+        const std::vector<Rect> node = AdversarialNode(rng, n, scale, offset);
+        ExpectKernelMatches(kernel, node,
+                            AdversarialInsert(rng, node, scale, offset));
+        // The rect equal to a candidate.
+        ExpectKernelMatches(kernel, node, node[rng.NextBelow(n)]);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  // Coordinates of both zero signs, among other small values.
+  const double kCoords[] = {-1.0, -0.0, 0.0, 0.5, 1.0};
+  const auto coord = [&] { return kCoords[rng.NextBelow(5)]; };
+  const auto zero_signed_rect = [&] {
+    const double x0 = coord();
+    const double x1 = coord();
+    const double y0 = coord();
+    const double y1 = coord();
+    return Rect(std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
+                std::max(y0, y1));
+  };
+  for (size_t n = 1; n <= 13; ++n) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<Rect> node;
+      for (size_t i = 0; i < n; ++i) node.push_back(zero_signed_rect());
+      ExpectKernelMatches(kernel, node, zero_signed_rect());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // All-identical candidates, the rect inside, equal to and outside them.
+  for (const size_t n : {1, 2, 3, 4, 5, 8, 26, 101, 102}) {
+    const std::vector<Rect> copies(n, Rect(0, 0, 2, 2));
+    for (const Rect& rect :
+         {Rect(1, 1, 1, 1), Rect(0, 0, 2, 2), Rect(1, 1, 3, 3)}) {
+      ExpectKernelMatches(kernel, copies, rect);
+    }
+  }
+  // Overflowing sums and infinite coordinates (the nodes of
+  // OverflowingKeysMatchTheDirectDefinition).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double side = 3e153;
+  std::vector<Rect> big(100, Rect(0, 0, side, side));
+  big.push_back(Rect(2 * side, 0, 3 * side, side));
+  ExpectKernelMatches(kernel, big, Rect(side / 2, side / 2, side, side));
+  const std::vector<Rect> infinite = {
+      Rect(0, 0, 1, 1), Rect(-kInf, -kInf, kInf, kInf), Rect(0, 0, kInf, 1),
+      Rect(kInf, kInf, kInf, kInf), Rect(-1, -1, 0, 0), Rect(0.5, 0, 2, 1)};
+  for (const Rect& rect :
+       {Rect(0.2, 0.2, 0.3, 0.3), Rect(-kInf, -kInf, kInf, kInf),
+        Rect(5, 5, 5, 5), Rect(-kInf, 0, 0, 0)}) {
+    ExpectKernelMatches(kernel, infinite, rect);
+  }
+}
+
+TEST(OverlapEnlargementsTest, ScalarVariantMatchesDirectDefinition) {
+  ExpectKernelMatchesDirectDefinition(&OverlapEnlargementsScalar);
+}
+
+TEST(OverlapEnlargementsTest, Avx2VariantMatchesDirectDefinition) {
+  if (!NodeScanHasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  ExpectKernelMatchesDirectDefinition(&OverlapEnlargementsAvx2);
+}
+
+TEST(OverlapEnlargementsTest, DispatchedKernelMatchesDirectDefinition) {
+  ExpectKernelMatchesDirectDefinition(&OverlapEnlargements);
+}
+
+// Every golden figure and exact benchmark count depends on the pages of
+// the insertion-built paper trees: the goldens on scale 0.05, the
+// benchmark and the figures on full scale. The scale-0.05 constants were
+// recorded before the level-1 ChooseSubtree rewrites, the full-scale ones
+// before the overlap-enlargement kernel; a faster insertion path must keep
+// them.
+struct PaperPages {
+  const char* name;
+  double scale;
+  uint64_t r;
+  uint64_t s;
+};
+
+void PrintTo(const PaperPages& pages, std::ostream* os) { *os << pages.name; }
+
+class RStarTreeFingerprintTest : public ::testing::TestWithParam<PaperPages> {
+};
+
+TEST_P(RStarTreeFingerprintTest, PaperMapsKeepTheirPages) {
+  const PaperPages& pages = GetParam();
+  const PaperWorkload workload(PaperWorkloadSpec().Scaled(pages.scale));
+  EXPECT_EQ(TreeFingerprint(workload.tree_r()), pages.r);
+  EXPECT_EQ(TreeFingerprint(workload.tree_s()), pages.s);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperScales, RStarTreeFingerprintTest,
+    ::testing::Values(
+        PaperPages{"Scale005", 0.05, 0x91d186b7211e263eULL,
+                   0xb3c1182432545140ULL},
+        PaperPages{"FullScale", 1.0, 0x87beb41336830978ULL,
+                   0x69bf1e5c11742ab1ULL}),
+    [](const ::testing::TestParamInfo<PaperPages>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace psj
