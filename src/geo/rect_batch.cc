@@ -44,8 +44,8 @@ inline uint32_t MoveMask(VecD m) { return m != 0.0 ? 1u : 0u; }
 
 constexpr uint32_t kFullMask = (1u << kWidth) - 1;
 
-static_assert(RectBatch::kBlock % kWidth == 0,
-              "padding quantum must cover a whole vector");
+static_assert(kWidth <= 2,
+              "a last window from lane size - 1 may read only lane size");
 
 // The plane-sweep forward scan: starting at `lo` (view sorted ascending by
 // xl), scans while xl <= anchor_xu, calling append(l) for every rectangle in

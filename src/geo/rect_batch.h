@@ -13,21 +13,28 @@
 
 namespace psj {
 
+/// The lanes of every RectBatch and every sealed tree node that hold `n`
+/// rectangles: whole 4-lane blocks, the AVX2 scan's width, with at least
+/// one sentinel lane past the last rectangle.
+constexpr size_t PaddedLanes(size_t n) { return (n / 4 + 1) * 4; }
+
 /// \brief Non-owning view over four SoA coordinate planes following the
 /// RectBatch conventions.
 ///
-/// `padded` lanes are readable starting at index 0 and every lane in
-/// [size, padded) holds sentinel coordinates (xl = +inf, yl = +inf,
-/// xu = -inf, yu = -inf), so kernels may read full blocks past the last real
-/// rectangle without bounds checks. Views are produced by RectBatch::view()
-/// and by the per-tree SoA node cache (rtree/node_soa.h).
+/// Each plane holds `padded` = PaddedLanes(size) readable lanes, and every
+/// lane in [size, padded) holds sentinel coordinates (xl = +inf,
+/// yl = +inf, xu = -inf, yu = -inf). Views are produced by
+/// RectBatch::view() and by the per-tree SoA node cache (rtree/node_soa.h).
 struct RectSoAView {
   const double* xl = nullptr;
   const double* yl = nullptr;
   const double* xu = nullptr;
   const double* yu = nullptr;
   size_t size = 0;
-  size_t padded = 0;  // Readable lanes; >= size + RectBatch::kBlock.
+  /// Readable lanes, PaddedLanes(size). A kernel may read the 4 lanes from
+  /// any multiple of 4 below `size`, and lane `size` itself, which the
+  /// SSE2 sweep's last window reads; nothing else past `size`.
+  size_t padded = 0;
 
   bool empty() const { return size == 0; }
   Rect rect(size_t i) const { return Rect(xl[i], yl[i], xu[i], yu[i]); }
@@ -39,21 +46,16 @@ struct RectSoAView {
 /// The four corner coordinates live in separate contiguous arrays so the
 /// filter-step kernels (the intra-node scan of geo/node_scan.h, the
 /// plane-sweep forward scan) compare whole SIMD vectors without branches.
-/// Every array is padded past `size()` with *sentinel* coordinates
-/// (xl = +inf, xu = -inf, yl = +inf, yu = -inf) so kernels may always read a
-/// full block of `kBlock` lanes starting at any index <= size() without
-/// bounds checks: a sentinel lane never passes an intersection predicate and
-/// always terminates the sweep's x-scan.
+/// Every array holds PaddedLanes(size()) lanes, those past `size()` filled
+/// with *sentinel* coordinates (xl = +inf, xu = -inf, yl = +inf,
+/// yu = -inf), so kernels read what RectSoAView::padded allows without
+/// bounds checks: a sentinel lane never passes an intersection predicate
+/// and always terminates the sweep's x-scan.
 class RectBatch {
  public:
-  /// Padding quantum in lanes. A multiple of every kernel's vector width
-  /// (2 doubles for the SSE2 sweep and scan, 4 for the AVX2 scan).
-  static constexpr size_t kBlock = 16;
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// Number of allocated lanes; always >= size() + kBlock and a multiple of
-  /// kBlock, so [i, i + kBlock) is in bounds for every i <= size().
+  /// Number of lanes, PaddedLanes(size()).
   size_t padded_size() const { return xl_.size(); }
 
   const double* xl() const { return xl_.data(); }
@@ -126,9 +128,7 @@ class RectBatch {
     const size_t old_size = size_;
     const size_t old_padded = xl_.size();
     size_ = n;
-    // One extra block past the logical end keeps full-block reads in bounds
-    // from any start index <= n.
-    const size_t padded = ((n / kBlock) + 2) * kBlock;
+    const size_t padded = PaddedLanes(n);
     xl_.resize(padded);
     yl_.resize(padded);
     xu_.resize(padded);

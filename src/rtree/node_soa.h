@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "geo/rect.h"
@@ -41,54 +42,71 @@ struct NodeSoAView {
 /// values themselves, which std::sort cannot use once a NaN appears.
 std::vector<uint32_t> ChildOrderByXl(const NodeSoAView& node);
 
-/// \brief Per-tree cache of every node's SoA image, built once after bulk
-/// construction (RStarTree::Seal).
+/// The entries a view holds, in index order, with the same doubles and
+/// ids: how RStarTree::Thaw() rebuilds the data nodes Seal() released.
+std::vector<RTreeEntry> EntriesOf(const NodeSoAView& view);
+
+/// \brief Per-tree image of every node, one heap block per live page,
+/// built once after construction (RStarTree::Seal).
 ///
-/// All nodes share four flat coordinate planes plus one id plane; each node
-/// owns a private kBlock-aligned segment padded with sentinel lanes, so the
-/// intra-node kernels (geo/node_scan.h) may read full blocks past a node's
-/// last entry without touching a neighbour's coordinates. A fifth, unpadded
-/// plane holds every node's x-order, one byte per entry.
+/// A node of n entries owns one block of untyped storage: the xl, yl, xu
+/// and yu planes of PaddedLanes(n) lanes each, their lanes past n filled
+/// with the RectBatch sentinels, then the n ids, then the n-byte x-order.
+/// So the intra-node kernels (geo/node_scan.h) read what
+/// RectSoAView::padded allows inside the node's own block. A sealed tree
+/// keeps no other image of its data nodes: Seal() releases their AoS
+/// entries as it writes each block.
 class NodeSoACache {
  public:
   /// Most entries a node may hold: x-order indices are single bytes.
   static constexpr size_t kMaxEntries = 256;
 
-  /// (Re)builds the planes for every live page of `nodes`; pages flagged in
-  /// `is_free` get empty views. Every live node must hold at most
-  /// kMaxEntries entries.
+  /// (Re)builds the image of every live page of `nodes`; pages flagged in
+  /// `is_free` get empty views. Releases nothing: `nodes` stay as given.
   void Build(const std::vector<RTreeNode>& nodes,
              const std::vector<bool>& is_free);
 
+  /// Drops every block and sizes the cache for `num_pages` empty pages.
+  void Reset(size_t num_pages);
+
+  /// Writes the block of page `page_no` < num_pages() from `node`, which
+  /// must hold at most kMaxEntries entries; the one transposition routine
+  /// of Build and RStarTree::Seal.
+  void Store(uint32_t page_no, const RTreeNode& node);
+
   NodeSoAView view(uint32_t page_no) const {
-    const Segment& seg = segments_[page_no];
-    return NodeSoAView{
-        RectSoAView{xl_.data() + seg.offset, yl_.data() + seg.offset,
-                    xu_.data() + seg.offset, yu_.data() + seg.offset,
-                    seg.count, seg.padded},
-        ids_.data() + seg.offset, seg.mbr, x_order_.data() + seg.order_offset,
-        seg.level};
+    const Page& page = pages_[page_no];
+    const double* const xl = page.planes;
+    return NodeSoAView{RectSoAView{xl, xl + page.padded, xl + 2 * page.padded,
+                                   xl + 3 * page.padded, page.count,
+                                   page.padded},
+                       page.ids, page.mbr, page.x_order, page.level};
   }
 
-  size_t num_pages() const { return segments_.size(); }
+  size_t num_pages() const { return pages_.size(); }
+
+  /// Bytes of every live page's block: the image's size without per-page
+  /// bookkeeping or allocator overhead.
+  size_t block_bytes() const;
 
  private:
-  struct Segment {
-    size_t offset = 0;        // First lane of this node in the shared planes.
-    size_t order_offset = 0;  // First byte of this node in x_order_.
-    size_t count = 0;         // Real entries.
-    size_t padded = 0;        // Lanes including the sentinel tail.
+  /// Bytes of the block of a node of `count` entries.
+  static size_t BlockBytes(size_t count);
+
+  struct Page {
+    std::unique_ptr<std::byte[]> block;  // Null for a free page.
+    // The objects Store created in the block: the four planes as one
+    // array, then the ids and the x-order.
+    const double* planes = nullptr;
+    const uint64_t* ids = nullptr;
+    const uint8_t* x_order = nullptr;
     Rect mbr = Rect::Empty();
+    uint32_t count = 0;   // Real entries.
+    uint32_t padded = 0;  // PaddedLanes(count); 0 for a free page.
     int16_t level = 0;
   };
 
-  std::vector<Segment> segments_;
-  std::vector<double> xl_;
-  std::vector<double> yl_;
-  std::vector<double> xu_;
-  std::vector<double> yu_;
-  std::vector<uint64_t> ids_;
-  std::vector<uint8_t> x_order_;
+  std::vector<Page> pages_;
 };
 
 }  // namespace psj

@@ -179,7 +179,24 @@ void RStarTree::FreeNode(uint32_t page_no) {
 const RTreeNode& RStarTree::node(uint32_t page_no) const {
   PSJ_CHECK_LT(page_no, nodes_.size());
   PSJ_CHECK(!is_free_[page_no]) << "access to freed page" << page_no;
+  PSJ_CHECK(!(phase_ == TreePhase::kSealed && nodes_[page_no].is_leaf()))
+      << StringPrintf(
+             "data page %u of tree %u was released by Seal(); read "
+             "sealed().view(%u) instead",
+             page_no, tree_id_, page_no);
   return nodes_[page_no];
+}
+
+RTreeNode RStarTree::ReadNode(uint32_t page_no) const {
+  if (phase_ == TreePhase::kMutable) return node(page_no);
+  PSJ_CHECK(!IsFreePage(page_no)) << "access to freed page" << page_no;
+  const NodeSoAView view = soa_cache_.view(page_no);
+  return RTreeNode{view.level, EntriesOf(view)};
+}
+
+Rect RStarTree::root_mbr() const {
+  return soa_valid_ ? soa_cache_.view(root_page_).mbr
+                    : node(root_page_).ComputeMbr();
 }
 
 RTreeNode& RStarTree::mutable_node(uint32_t page_no) {
@@ -196,12 +213,32 @@ void RStarTree::Seal() {
   // (the serving layer requires sealed trees); steady_clock is legal here —
   // the no-wall-clock lint rule covers only the simulated layers.
   const auto start = std::chrono::steady_clock::now();
-  soa_cache_.Build(nodes_, is_free_);
+  if (!soa_valid_) soa_cache_.Reset(nodes_.size());
+  for (uint32_t p = 1; p < num_pages(); ++p) {
+    if (is_free_[p]) continue;
+    RTreeNode& n = nodes_[p];
+    if (!soa_valid_) soa_cache_.Store(p, n);
+    // Released right after its block is written, so the next block can
+    // take the freed memory. Directory entries stay for perfbench's
+    // replay, which reads node(page).entries of directory pages.
+    if (n.is_leaf()) std::vector<RTreeEntry>().swap(n.entries);
+  }
   soa_valid_ = true;
   phase_ = TreePhase::kSealed;
   last_seal_micros_ = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count();
+}
+
+void RStarTree::Thaw() {
+  if (phase_ == TreePhase::kSealed) {
+    for (uint32_t p = 1; p < num_pages(); ++p) {
+      if (!is_free_[p] && nodes_[p].is_leaf()) {
+        nodes_[p].entries = EntriesOf(soa_cache_.view(p));
+      }
+    }
+  }
+  phase_ = TreePhase::kMutable;
 }
 
 const NodeSoACache& RStarTree::sealed() const {
@@ -218,6 +255,10 @@ bool RStarTree::IsFreePage(uint32_t page_no) const {
 }
 
 void RStarTree::Insert(const Rect& rect, uint64_t oid) {
+  // Checked on entry: the descent below would first reach a data page,
+  // which a sealed tree has released.
+  PSJ_DCHECK_PHASE(phase_ == TreePhase::kMutable)
+      << "Insert on a sealed tree; call Thaw() before mutating";
   PSJ_CHECK(rect.IsValid()) << "Insert with invalid rect" << rect.ToString();
   std::vector<bool> reinserted(static_cast<size_t>(height_), false);
   InsertAtLevel(RTreeEntry{rect, oid}, 0, &reinserted);
@@ -688,6 +729,8 @@ bool RStarTree::FindLeafPath(uint32_t page_no, const Rect& rect, uint64_t oid,
 }
 
 bool RStarTree::Delete(const Rect& rect, uint64_t oid) {
+  PSJ_DCHECK_PHASE(phase_ == TreePhase::kMutable)
+      << "Delete on a sealed tree; call Thaw() before mutating";
   std::vector<uint32_t> path;
   if (!FindLeafPath(root_page_, rect, oid, &path)) {
     return false;
@@ -861,7 +904,7 @@ RTreeShapeStats RStarTree::ComputeShapeStats() const {
   int64_t dir_fill = 0;
   for (uint32_t p = 1; p < num_pages(); ++p) {
     if (IsFreePage(p)) continue;
-    const RTreeNode& n = node(p);
+    const RTreeNode n = ReadNode(p);
     if (n.is_leaf()) {
       ++stats.num_data_pages;
       data_fill += static_cast<int64_t>(n.size());
@@ -908,7 +951,7 @@ Status RStarTree::PackToPageFile(PageFile* file) const {
       const uint16_t marker = kFreePageLevelMarker;
       std::memcpy(page.data(), &marker, sizeof(marker));
     } else {
-      PackNode(node(p), &page);
+      PackNode(ReadNode(p), &page);
     }
     file->WritePage(p, page);
   }

@@ -131,19 +131,36 @@ class RStarTree {
   int64_t num_data_entries() const { return num_data_entries_; }
   const RTreeOptions& options() const { return options_; }
 
-  /// The build and persistence image of one node. Queries and joins read
-  /// sealed().view(page_no) instead.
+  /// The build image of one node, which insertion and deletion edit.
+  /// Queries and joins read sealed().view(page_no) instead. A sealed tree
+  /// has released its data nodes' entries, so on a data page this aborts
+  /// between Seal() and Thaw(); directory pages keep their entries.
   const RTreeNode& node(uint32_t page_no) const;
-  Rect root_mbr() const { return node(root_page_).ComputeMbr(); }
 
-  /// \brief Freezes the tree for querying: (re)builds the SoA image of
-  /// every node, which is the only node representation queries and joins
-  /// read.
+  /// A copy of one live node's level and entries, read from whichever
+  /// image holds them: the sealed view between Seal() and Thaw(), which
+  /// is the only image of a data node then, the build image otherwise.
+  /// The validator, the shape stats and page packing read every node
+  /// through it.
+  RTreeNode ReadNode(uint32_t page_no) const;
+
+  /// The root's MBR: the sealed view's cached one when the image is valid,
+  /// the same ExpandToInclude fold, bit for bit, otherwise.
+  Rect root_mbr() const;
+
+  /// \brief Freezes the tree for querying: writes the SoA image of every
+  /// node, which is the only node representation queries and joins read,
+  /// and releases every data node's AoS entries.
   ///
-  /// Called by the bulk builders (FromNodes, BuildTreeFromObjects); any
-  /// later mutation invalidates the image — soa() returns null again and
-  /// sealed() aborts — until the next Seal(). There is no fallback: every
-  /// read path requires a sealed tree.
+  /// Pages are sealed in order, each data node's entries released right
+  /// after its block is written, so each block can reuse memory an earlier
+  /// release freed and the peak stays near the build's footprint.
+  /// Directory nodes keep their entries (perfbench's traced replay reads
+  /// them). Called by the bulk builders (FromNodes, BuildTreeFromObjects);
+  /// a Seal() on a valid image writes no block. Any later mutation
+  /// invalidates the image — soa() returns null again and sealed()
+  /// aborts — until the next Seal(). There is no fallback: every read path
+  /// requires a sealed tree.
   ///
   /// Sealing also enters the kSealed phase of the tree's lifecycle: every
   /// structural mutation (Insert/Delete and the private doorways they go
@@ -154,10 +171,12 @@ class RStarTree {
   void Seal();
 
   /// Re-enters the mutable phase after a Seal(), declaring the intent to
-  /// mutate. No structural effect: the SoA cache stays valid until an
-  /// actual mutation clears it. Callers must guarantee no concurrent
-  /// readers exist — thawing a tree other threads are querying is a race.
-  void Thaw() { phase_ = TreePhase::kMutable; }
+  /// mutate: rebuilds every released data node's entries from its block,
+  /// in the same order with the same doubles and ids. The SoA image stays
+  /// valid until an actual mutation clears it. Callers must guarantee no
+  /// concurrent readers exist — thawing a tree other threads are querying
+  /// is a race.
+  void Thaw();
 
   /// Lifecycle phase (see Seal()/Thaw()).
   enum class TreePhase { kMutable, kSealed };

@@ -11,9 +11,10 @@ Status ValidateRTree(const RStarTree& tree, bool enforce_min_fill) {
   if (root == 0 || root >= tree.num_pages() || tree.IsFreePage(root)) {
     return Status::Corruption("root page invalid or freed");
   }
-  if (tree.node(root).level != tree.height() - 1) {
+  const int root_level = tree.ReadNode(root).level;
+  if (root_level != tree.height() - 1) {
     return Status::Corruption(StringPrintf(
-        "root level %d does not match height %d", tree.node(root).level,
+        "root level %d does not match height %d", root_level,
         tree.height()));
   }
 
@@ -25,7 +26,7 @@ Status ValidateRTree(const RStarTree& tree, bool enforce_min_fill) {
   while (!stack.empty()) {
     const uint32_t page = stack.back();
     stack.pop_back();
-    const RTreeNode& n = tree.node(page);
+    const RTreeNode n = tree.ReadNode(page);
 
     if (n.entries.size() > tree.CapacityFor(n.level)) {
       return Status::Corruption(
@@ -60,7 +61,7 @@ Status ValidateRTree(const RStarTree& tree, bool enforce_min_fill) {
         return Status::Corruption(
             StringPrintf("page %u referenced more than once", child));
       }
-      const RTreeNode& child_node = tree.node(child);
+      const RTreeNode child_node = tree.ReadNode(child);
       if (child_node.level != n.level - 1) {
         return Status::Corruption(StringPrintf(
             "child %u at level %d under parent level %d", child,

@@ -4,12 +4,16 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/task_builder.h"
 #include "geo/node_scan.h"
+#include "geo/plane_sweep.h"
 #include "geo/rect_batch.h"
 #include "join/node_match.h"
 #include "join/sequential_join.h"
@@ -175,6 +179,230 @@ TEST(NodeScanTest, IsaNameIsConsistentWithCapabilities) {
   }
 }
 
+// ---- The padding contract: (n / 4 + 1) · 4 lanes, read no further ----
+
+// The node sizes of the padding tests: every n mod 4 up to 40, both paper
+// fan-outs' neighbourhood and the 256-entry limit.
+std::vector<size_t> PaddingSizes() {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  for (const size_t n : {102, 103, 256}) sizes.push_back(n);
+  return sizes;
+}
+
+TEST(PaddingContractTest, SealedViewsHoldExactlyThePaddingRule) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(404);
+  for (const size_t n : PaddingSizes()) {
+    for (const int16_t level : {0, 1}) {
+      const NodeSoACache cache = CacheOf({MakeNode(FuzzRects(rng, n, 0.3),
+                                                   level)});
+      const NodeSoAView v = cache.view(1);
+      ASSERT_EQ(v.size(), n);
+      ASSERT_EQ(v.rects.padded, (n / 4 + 1) * 4) << "n=" << n;
+      for (size_t i = n; i < v.rects.padded; ++i) {
+        EXPECT_EQ(v.rects.xl[i], kInf) << "n=" << n << " lane " << i;
+        EXPECT_EQ(v.rects.yl[i], kInf) << "n=" << n << " lane " << i;
+        EXPECT_EQ(v.rects.xu[i], -kInf) << "n=" << n << " lane " << i;
+        EXPECT_EQ(v.rects.yu[i], -kInf) << "n=" << n << " lane " << i;
+      }
+      // Four planes of padded lanes, then an id and an x-order byte per
+      // entry.
+      EXPECT_EQ(cache.block_bytes(), 32 * v.rects.padded + 9 * n);
+    }
+  }
+}
+
+// A view whose four planes are separate heap blocks of exactly `padded`
+// lanes, with an x-order of exactly `size` bytes, so under the sanitize
+// preset a kernel that reads past them is a heap-buffer-overflow instead
+// of a read of the next plane.
+class ExactPlanes {
+ public:
+  explicit ExactPlanes(const std::vector<Rect>& rects) : size_(rects.size()) {
+    RectBatch batch;
+    batch.Assign(rects);
+    const RectSoAView src = batch.view();
+    padded_ = src.padded;
+    const double* const planes[] = {src.xl, src.yl, src.xu, src.yu};
+    for (int k = 0; k < 4; ++k) {
+      planes_[k] = std::make_unique<double[]>(padded_);
+      std::copy(planes[k], planes[k] + padded_, planes_[k].get());
+    }
+    std::vector<uint32_t> order;
+    std::vector<std::pair<uint64_t, uint32_t>> keys;
+    SortedOrderByXl(src, &order, &keys);
+    x_order_ = std::make_unique<uint8_t[]>(size_);
+    std::copy(order.begin(), order.end(), x_order_.get());
+  }
+
+  RectSoAView view() const {
+    return RectSoAView{planes_[0].get(), planes_[1].get(), planes_[2].get(),
+                       planes_[3].get(), size_, padded_};
+  }
+  const uint8_t* x_order() const { return x_order_.get(); }
+
+ private:
+  size_t size_;
+  size_t padded_ = 0;
+  std::unique_ptr<double[]> planes_[4];
+  std::unique_ptr<uint8_t[]> x_order_;
+};
+
+// Rects for the padding tests: fuzzed, with every third rect reaching
+// xu = +inf and spanning the y axis, so it anchors a forward scan that
+// runs to the end of the other side and meets every y-extent.
+std::vector<Rect> PaddingRects(Rng& rng, size_t n) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Rect> rects = FuzzRects(rng, n, 0.3);
+  for (size_t i = 1; i < n; i += 3) {
+    rects[i].xu = kInf;
+    rects[i].yl = -kInf;
+    rects[i].yu = kInf;
+  }
+  return rects;
+}
+
+using ScanFn = void (*)(const RectSoAView&, const Rect&,
+                        std::vector<uint32_t>*);
+
+void ExpectScanReadsOnlyThePadding(ScanFn scan) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(405);
+  for (const size_t n : PaddingSizes()) {
+    const std::vector<Rect> rects = PaddingRects(rng, n);
+    const ExactPlanes planes(rects);
+    std::vector<Rect> queries = FuzzRects(rng, 4, 0.5);
+    queries.emplace_back(-kInf, -kInf, kInf, kInf);
+    std::vector<uint32_t> got;
+    for (const Rect& query : queries) {
+      scan(planes.view(), query, &got);
+      EXPECT_EQ(got, ScalarReference(rects, query)) << "n=" << n;
+    }
+  }
+}
+
+TEST(PaddingContractTest, ScalarScanReadsOnlyThePadding) {
+  ExpectScanReadsOnlyThePadding(&ScanIntersectingScalar);
+}
+
+TEST(PaddingContractTest, Sse2ScanReadsOnlyThePadding) {
+  if (!NodeScanHasSse2()) GTEST_SKIP() << "this CPU has no SSE2";
+  ExpectScanReadsOnlyThePadding(&ScanIntersectingSse2);
+}
+
+TEST(PaddingContractTest, Avx2ScanReadsOnlyThePadding) {
+  if (!NodeScanHasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  ExpectScanReadsOnlyThePadding(&ScanIntersectingAvx2);
+}
+
+TEST(PaddingContractTest, SelectInXOrderReadsOnlyThePadding) {
+  Rng rng(406);
+  for (const size_t n : PaddingSizes()) {
+    const std::vector<Rect> rects = PaddingRects(rng, n);
+    const ExactPlanes planes(rects);
+    const std::vector<uint32_t> order = SortedOrderByXl(rects);
+    std::vector<uint32_t> got;
+    SelectInXOrder(planes.view(), planes.x_order(), nullptr, &got);
+    EXPECT_EQ(got, order) << "n=" << n;
+    const Rect clip = FuzzRects(rng, 1, 0.6)[0];
+    std::vector<uint32_t> expected;
+    for (const uint32_t i : order) {
+      if (rects[i].Intersects(clip)) expected.push_back(i);
+    }
+    SelectInXOrder(planes.view(), planes.x_order(), &clip, &got);
+    EXPECT_EQ(got, expected) << "n=" << n;
+  }
+}
+
+// Both sweep entry points, against the scalar sweep: SweepCollectPairs
+// straight over x-sorted exact planes, whose forward scans reach each
+// side's last lane from anchors at xu = +inf, and BatchSweepJoinViews over
+// unsorted exact planes and their x-orders.
+TEST(PaddingContractTest, SweepsReadOnlyThePadding) {
+  Rng rng(407);
+  const std::vector<size_t> sizes = PaddingSizes();
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    const size_t nr = sizes[k];
+    const size_t ns = sizes[(k * 7 + 3) % sizes.size()];
+    const std::vector<Rect> rects_r = PaddingRects(rng, nr);
+    const std::vector<Rect> rects_s = PaddingRects(rng, ns);
+    std::vector<Rect> sorted_r;
+    std::vector<Rect> sorted_s;
+    for (const uint32_t i : SortedOrderByXl(rects_r)) {
+      sorted_r.push_back(rects_r[i]);
+    }
+    for (const uint32_t i : SortedOrderByXl(rects_s)) {
+      sorted_s.push_back(rects_s[i]);
+    }
+    Pairs expected;
+    size_t expected_tests = 0;
+    PlaneSweepJoinSortedScalar(
+        std::span<const Rect>(sorted_r), std::span<const Rect>(sorted_s),
+        [&](size_t i, size_t j) {
+          expected.emplace_back(static_cast<uint32_t>(i),
+                                static_cast<uint32_t>(j));
+        },
+        &expected_tests);
+    const ExactPlanes exact_sorted_r(sorted_r);
+    const ExactPlanes exact_sorted_s(sorted_s);
+    Pairs got;
+    EXPECT_EQ(SweepCollectPairs(exact_sorted_r.view(), exact_sorted_s.view(),
+                                &got),
+              expected_tests)
+        << "nr=" << nr << " ns=" << ns;
+    EXPECT_EQ(got, expected) << "nr=" << nr << " ns=" << ns;
+
+    const ExactPlanes exact_r(rects_r);
+    const ExactPlanes exact_s(rects_s);
+    SweepScratch scratch;
+    got.clear();
+    EXPECT_EQ(BatchSweepJoinViews(scratch, exact_r.view(), exact_r.x_order(),
+                                  exact_s.view(), exact_s.x_order(), nullptr,
+                                  [&](uint32_t i, uint32_t j) {
+                                    got.emplace_back(i, j);
+                                  }),
+              expected_tests)
+        << "nr=" << nr << " ns=" << ns;
+    ASSERT_EQ(got.size(), expected.size());
+    const std::vector<uint32_t> order_r = SortedOrderByXl(rects_r);
+    const std::vector<uint32_t> order_s = SortedOrderByXl(rects_s);
+    for (size_t p = 0; p < got.size(); ++p) {
+      EXPECT_EQ(got[p], std::make_pair(order_r[expected[p].first],
+                                       order_s[expected[p].second]));
+    }
+  }
+}
+
+using OverlapFn = void (*)(const RectSoAView&, const Rect&,
+                           std::vector<uint32_t>*, std::vector<double>*);
+
+void ExpectOverlapEnlargementsReadOnlyThePadding(OverlapFn kernel) {
+  Rng rng(408);
+  for (const size_t n : PaddingSizes()) {
+    const std::vector<Rect> rects = FuzzRects(rng, n, 0.3);
+    const ExactPlanes planes(rects);
+    RectBatch batch;
+    batch.Assign(rects);
+    const Rect rect = FuzzRects(rng, 1, 0.3)[0];
+    std::vector<uint32_t> scratch;
+    std::vector<double> got;
+    std::vector<double> expected;
+    kernel(planes.view(), rect, &scratch, &got);
+    OverlapEnlargementsScalar(batch.view(), rect, &scratch, &expected);
+    EXPECT_EQ(got, expected) << "n=" << n;
+  }
+}
+
+TEST(PaddingContractTest, ScalarOverlapEnlargementsReadOnlyThePadding) {
+  ExpectOverlapEnlargementsReadOnlyThePadding(&OverlapEnlargementsScalar);
+}
+
+TEST(PaddingContractTest, Avx2OverlapEnlargementsReadOnlyThePadding) {
+  if (!NodeScanHasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  ExpectOverlapEnlargementsReadOnlyThePadding(&OverlapEnlargementsAvx2);
+}
+
 TEST(NodeSoAMatchTest, MatchesScalarOracleOnFuzzedNodes) {
   Rng rng(77);
   const size_t kSizes[] = {0, 1, 26, 102};
@@ -239,18 +467,23 @@ TEST(NodeSoACacheTest, SealedTreeViewsMatchNodes) {
     tree.Insert(rects[i], i);
   }
   EXPECT_EQ(tree.soa(), nullptr);  // Not sealed yet.
+  // Seal() releases the data nodes' entries, so compare with a copy.
+  std::vector<RTreeNode> nodes(tree.num_pages());
+  for (uint32_t p = 1; p < tree.num_pages(); ++p) {
+    if (!tree.IsFreePage(p)) nodes[p] = tree.node(p);
+  }
   tree.Seal();
   const NodeSoACache* cache = tree.soa();
   ASSERT_NE(cache, nullptr);
   ASSERT_EQ(cache->num_pages(), tree.num_pages());
   for (uint32_t p = 1; p < tree.num_pages(); ++p) {
     if (tree.IsFreePage(p)) continue;
-    const RTreeNode& node = tree.node(p);
+    const RTreeNode& node = nodes[p];
     const NodeSoAView v = cache->view(p);
     ASSERT_EQ(v.size(), node.entries.size());
     EXPECT_EQ(v.level, node.level);
     EXPECT_EQ(v.is_leaf(), node.is_leaf());
-    EXPECT_GE(v.rects.padded, v.size() + RectBatch::kBlock);
+    EXPECT_EQ(v.rects.padded, (v.size() / 4 + 1) * 4);
     EXPECT_EQ(v.mbr, node.ComputeMbr());
     for (size_t i = 0; i < v.size(); ++i) {
       EXPECT_EQ(v.rects.rect(i), node.entries[i].rect);
@@ -370,8 +603,8 @@ TEST(NodeSoACacheTest, NaNCoordinatesSealAndMatchTheOracle) {
     if (tree.IsFreePage(p)) continue;
     for (const uint32_t q : {poisoned.leaf, tree.root_page(), p}) {
       SCOPED_TRACE(testing::Message() << "pages " << p << ", " << q);
-      ExpectSoAMatchesOracle(cache->view(p), cache->view(q), tree.node(p),
-                             tree.node(q));
+      ExpectSoAMatchesOracle(cache->view(p), cache->view(q),
+                             tree.ReadNode(p), tree.ReadNode(q));
     }
   }
 }
@@ -438,7 +671,7 @@ TEST(ChildOrderTest, NaNRootedTreeJoinsAShallowerTreeLikeBruteForce) {
   tree_s.Seal();
   ASSERT_EQ(tree_r.height(), 2);
   ASSERT_EQ(tree_s.height(), 1);
-  const RTreeNode& root_s = tree_s.node(tree_s.root_page());
+  const RTreeNode root_s = tree_s.ReadNode(tree_s.root_page());
   const Rect mbr_s = root_s.ComputeMbr();
 
   // Brute force over the tree's own directory MBRs.
@@ -447,7 +680,7 @@ TEST(ChildOrderTest, NaNRootedTreeJoinsAShallowerTreeLikeBruteForce) {
   for (const RTreeEntry& child : tree_r.node(tree_r.root_page()).entries) {
     if (!child.rect.Intersects(mbr_s)) continue;
     expected_pages.push_back(child.child_page());
-    for (const RTreeEntry& r : tree_r.node(child.child_page()).entries) {
+    for (const RTreeEntry& r : tree_r.ReadNode(child.child_page()).entries) {
       for (const RTreeEntry& s : root_s.entries) {
         if (r.rect.Intersects(s.rect)) expected.emplace_back(r.id, s.id);
       }
@@ -523,6 +756,50 @@ TEST(NodeSoACacheDeathTest, UnsealedTreeReadersAbort) {
   tree_s.Thaw();
   tree_s.Insert(Rect(0.3, 0.3, 0.4, 0.4), 3);
   EXPECT_DEATH(tree_s.WindowQuery(Rect(0, 0, 1, 1)), kMessage);
+}
+
+// Seal() releases every data node's entries, so node() aborts on a data
+// page and names the view to read instead; directory pages keep their
+// entries. Thaw() rebuilds the released ones from the image.
+TEST(NodeSoACacheDeathTest, NodeAbortsOnReleasedDataPages) {
+  Rng rng(505);
+  RStarTree tree(1);
+  const auto rects = FuzzRects(rng, 400, 0.05);
+  for (size_t i = 0; i < rects.size(); ++i) tree.Insert(rects[i], i);
+  ASSERT_GE(tree.height(), 2);
+  tree.Seal();
+  const auto same_entries = [](const std::vector<RTreeEntry>& a,
+                               const NodeSoAView& v) {
+    if (a.size() != v.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!(a[i].rect == v.rects.rect(i)) || a[i].id != v.ids[i]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  uint32_t leaf = 0;
+  for (uint32_t p = 1; p < tree.num_pages(); ++p) {
+    if (tree.IsFreePage(p)) continue;
+    const NodeSoAView v = tree.sealed().view(p);
+    if (v.is_leaf()) {
+      if (leaf == 0) leaf = p;
+    } else {
+      EXPECT_TRUE(same_entries(tree.node(p).entries, v)) << "page " << p;
+    }
+  }
+  ASSERT_NE(leaf, 0u);
+  EXPECT_DEATH(tree.node(leaf),
+               "data page " + std::to_string(leaf) +
+                   " of tree 1 was released by Seal\\(\\); read "
+                   "sealed\\(\\)\\.view\\(" +
+                   std::to_string(leaf) + "\\) instead");
+  tree.Thaw();
+  for (uint32_t p = 1; p < tree.num_pages(); ++p) {
+    if (tree.IsFreePage(p)) continue;
+    EXPECT_TRUE(same_entries(tree.node(p).entries, tree.sealed().view(p)))
+        << "page " << p;
+  }
 }
 
 TEST(NodeSoACacheDeathTest, FanOutAbove256IsRejected) {

@@ -60,13 +60,12 @@ TEST(HilbertStripingTest, SpatialNeighborsLandOnDifferentDisks) {
   int pairs = 0;
   for (uint32_t p = 1; p < tree.num_pages(); ++p) {
     if (tree.IsFreePage(p)) continue;
-    const RTreeNode& node = tree.node(p);
-    if (node.is_leaf() || node.entries.size() < 2) continue;
-    for (size_t e = 1; e < node.entries.size(); ++e) {
-      const int d0 = placement.at(
-          PageId{tree.tree_id(), node.entries[e - 1].child_page()});
-      const int d1 = placement.at(
-          PageId{tree.tree_id(), node.entries[e].child_page()});
+    const NodeSoAView node = tree.sealed().view(p);
+    if (node.is_leaf() || node.size() < 2) continue;
+    for (size_t e = 1; e < node.size(); ++e) {
+      const int d0 =
+          placement.at(PageId{tree.tree_id(), node.child_page(e - 1)});
+      const int d1 = placement.at(PageId{tree.tree_id(), node.child_page(e)});
       same_disk += d0 == d1 ? 1 : 0;
       ++pairs;
     }

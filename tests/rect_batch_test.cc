@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <span>
 #include <vector>
@@ -80,8 +81,7 @@ TEST(RectBatchTest, AssignRoundTripsAndPads) {
   RectBatch batch;
   batch.Assign(rects);
   ASSERT_EQ(batch.size(), rects.size());
-  EXPECT_GE(batch.padded_size(), batch.size() + RectBatch::kBlock);
-  EXPECT_EQ(batch.padded_size() % RectBatch::kBlock, 0u);
+  EXPECT_EQ(batch.padded_size(), (batch.size() / 4 + 1) * 4);
   for (size_t i = 0; i < rects.size(); ++i) {
     EXPECT_EQ(batch.rect(i), rects[i]);
   }
@@ -116,6 +116,39 @@ TEST(RectBatchTest, ReloadsKeepEveryLanePastSizeASentinel) {
         EXPECT_EQ(b->yl()[i], std::numeric_limits<double>::infinity());
         EXPECT_EQ(b->xu()[i], -std::numeric_limits<double>::infinity());
         EXPECT_EQ(b->yu()[i], -std::numeric_limits<double>::infinity());
+      }
+    }
+  }
+}
+
+// The one padding rule: (n / 4 + 1) · 4 lanes, every lane past n a
+// sentinel, whether the batch is fresh, reloaded smaller or larger, or
+// gathered.
+TEST(RectBatchTest, EveryBatchHoldsExactlyThePaddingRule) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  for (const size_t n : {102, 103, 256, 3, 101}) sizes.push_back(n);
+  Rng rng(30);
+  RectBatch reloaded;
+  RectBatch gathered;
+  for (const size_t n : sizes) {
+    const auto rects = FuzzRects(rng, static_cast<int>(n), 0.3);
+    RectBatch fresh;
+    fresh.Assign(rects);
+    reloaded.Assign(rects);
+    std::vector<uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    gathered.AssignGather(fresh.view(), all);
+    for (const RectBatch* b : {&fresh, &reloaded, &gathered}) {
+      ASSERT_EQ(b->size(), n);
+      ASSERT_EQ(b->padded_size(), (n / 4 + 1) * 4) << "n=" << n;
+      ASSERT_EQ(b->view().padded, b->padded_size());
+      for (size_t i = n; i < b->padded_size(); ++i) {
+        EXPECT_EQ(b->xl()[i], kInf) << "n=" << n << " lane " << i;
+        EXPECT_EQ(b->yl()[i], kInf) << "n=" << n << " lane " << i;
+        EXPECT_EQ(b->xu()[i], -kInf) << "n=" << n << " lane " << i;
+        EXPECT_EQ(b->yu()[i], -kInf) << "n=" << n << " lane " << i;
       }
     }
   }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <numeric>
 #include <ostream>
@@ -16,6 +18,7 @@
 #include "geo/node_scan.h"
 #include "geo/rect_batch.h"
 #include "rtree/rstar_tree.h"
+#include "rtree/str_loader.h"
 #include "rtree/validator.h"
 #include "storage/page_file.h"
 #include "util/rng.h"
@@ -40,6 +43,8 @@ Rect RandomRect(Rng& rng, double extent = 0.05) {
 
 // 64-bit FNV-1a over the root page, the height and every page's level,
 // entry rect bits and ids: equal fingerprints mean page-identical trees.
+// ReadNode reads a sealed tree's data nodes from the sealed image, their
+// only image.
 uint64_t TreeFingerprint(const RStarTree& tree) {
   uint64_t hash = 0xcbf29ce484222325ULL;
   const auto add = [&hash](uint64_t word) {
@@ -56,7 +61,7 @@ uint64_t TreeFingerprint(const RStarTree& tree) {
       add(~uint64_t{0});
       continue;
     }
-    const RTreeNode& n = tree.node(p);
+    const RTreeNode n = tree.ReadNode(p);
     add(static_cast<uint64_t>(n.level));
     add(n.entries.size());
     for (const RTreeEntry& e : n.entries) {
@@ -784,6 +789,153 @@ TEST(OverlapEnlargementsTest, DispatchedKernelMatchesDirectDefinition) {
   ExpectKernelMatchesDirectDefinition(&OverlapEnlargements);
 }
 
+// ---- One image: a sealed tree reads like a twin that was never sealed ----
+
+// Every byte PackToPageFile writes.
+std::vector<std::byte> PackedBytes(const RStarTree& tree) {
+  PageFile file(tree.tree_id());
+  EXPECT_TRUE(tree.PackToPageFile(&file).ok());
+  std::vector<std::byte> bytes;
+  for (uint32_t p = 0; p < file.num_pages(); ++p) {
+    const PageData& page = file.ReadPage(p);
+    bytes.insert(bytes.end(), page.begin(), page.end());
+  }
+  return bytes;
+}
+
+// The sealed image's size by its layout: per live node of n entries, four
+// planes of (n / 4 + 1) · 4 doubles, n ids and n x-order bytes.
+size_t ImageBytesOf(const RStarTree& tree) {
+  size_t bytes = 0;
+  for (uint32_t p = 1; p < tree.num_pages(); ++p) {
+    if (tree.IsFreePage(p)) continue;
+    const size_t n = tree.ReadNode(p).size();
+    bytes += 32 * ((n / 4 + 1) * 4) + 9 * n;
+  }
+  return bytes;
+}
+
+// Page packing, the validator and the shape stats read a sealed tree's
+// data nodes from its sealed image, and must see the twin's pages there.
+void ExpectReadsLikeTwin(const RStarTree& sealed, const RStarTree& twin,
+                         bool enforce_min_fill) {
+  ASSERT_EQ(sealed.phase(), RStarTree::TreePhase::kSealed);
+  ASSERT_EQ(twin.phase(), RStarTree::TreePhase::kMutable);
+  EXPECT_EQ(PackedBytes(sealed), PackedBytes(twin));
+  EXPECT_EQ(TreeFingerprint(sealed), TreeFingerprint(twin));
+  EXPECT_TRUE(ValidateRTree(sealed, enforce_min_fill).ok());
+  EXPECT_TRUE(ValidateRTree(twin, enforce_min_fill).ok());
+  const RTreeShapeStats a = sealed.ComputeShapeStats();
+  const RTreeShapeStats b = twin.ComputeShapeStats();
+  EXPECT_EQ(a.height, b.height);
+  EXPECT_EQ(a.num_data_entries, b.num_data_entries);
+  EXPECT_EQ(a.num_data_pages, b.num_data_pages);
+  EXPECT_EQ(a.num_dir_pages, b.num_dir_pages);
+  EXPECT_EQ(a.avg_data_fill, b.avg_data_fill);
+  EXPECT_EQ(a.avg_dir_fill, b.avg_dir_fill);
+  EXPECT_EQ(a.root_mbr, b.root_mbr);
+  EXPECT_EQ(sealed.root_mbr(), twin.root_mbr());
+  EXPECT_EQ(sealed.sealed().block_bytes(), ImageBytesOf(twin));
+}
+
+// Applies `steps` random inserts and deletes, the same to every tree.
+struct RandomEdits {
+  explicit RandomEdits(uint64_t seed) : rng(seed) {}
+
+  Rng rng;
+  std::vector<std::pair<Rect, uint64_t>> live;
+  uint64_t next_id = 0;
+
+  void Apply(int steps, std::initializer_list<RStarTree*> trees) {
+    for (int step = 0; step < steps; ++step) {
+      if (live.empty() || rng.NextBool(0.7)) {
+        const Rect r = RandomRect(rng, rng.NextBool(0.5) ? 0.002 : 0.2);
+        for (RStarTree* tree : trees) tree->Insert(r, next_id);
+        live.emplace_back(r, next_id++);
+      } else {
+        const size_t pick = rng.NextBelow(live.size());
+        for (RStarTree* tree : trees) {
+          ASSERT_TRUE(tree->Delete(live[pick].first, live[pick].second));
+        }
+        live.erase(live.begin() + static_cast<long>(pick));
+      }
+    }
+  }
+};
+
+// Seal -> Thaw -> Insert/Delete -> Seal must land on the twin's pages:
+// Thaw() rebuilds the released entries exactly.
+void ExpectEditsAfterThawMatchTwin(RStarTree* sealed, RStarTree* twin,
+                                   RandomEdits* edits, bool enforce_min_fill) {
+  sealed->Thaw();
+  edits->Apply(300, {sealed, twin});
+  sealed->Seal();
+  ExpectReadsLikeTwin(*sealed, *twin, enforce_min_fill);
+}
+
+TEST(OneImageTest, FuzzedTreesReadLikeTwinsNeverSealed) {
+  for (const uint64_t seed : {51, 52, 53}) {
+    for (const RTreeOptions& options : {SmallOptions(), RTreeOptions()}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " max_data "
+                                      << options.max_data_entries);
+      RStarTree tree(1, options);
+      RStarTree twin(1, options);
+      RandomEdits edits(seed);
+      edits.Apply(1200, {&tree, &twin});
+      tree.Seal();
+      ExpectReadsLikeTwin(tree, twin, true);
+      // A second Seal() on a valid image changes nothing.
+      tree.Seal();
+      ExpectReadsLikeTwin(tree, twin, true);
+      ExpectEditsAfterThawMatchTwin(&tree, &twin, &edits, true);
+    }
+  }
+}
+
+// LoadFromPageFile seals; the tree the file was packed from never was.
+TEST(OneImageTest, PageFileLoadedTreeReadsLikeItsSource) {
+  RStarTree source(4, SmallOptions());
+  RandomEdits edits(54);
+  edits.Apply(900, {&source});  // Deletes leave free pages in the file.
+  PageFile file(4);
+  ASSERT_TRUE(source.PackToPageFile(&file).ok());
+  auto loaded = RStarTree::LoadFromPageFile(file, SmallOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectReadsLikeTwin(*loaded, source, true);
+  ExpectEditsAfterThawMatchTwin(&*loaded, &source, &edits, true);
+}
+
+// An STR tree is sealed as it is assembled, so its twin is a second build
+// thawed before any reader ran; its data entries, which Thaw() rebuilt,
+// must be exactly the loaded ones.
+TEST(OneImageTest, StrLoadedTreeReadsLikeItsThawedTwin) {
+  Rng rng(55);
+  std::vector<RTreeEntry> entries;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    entries.push_back(RTreeEntry{RandomRect(rng, 0.02), i});
+  }
+  RStarTree tree = BuildStrTree(2, entries);
+  RStarTree twin = BuildStrTree(2, entries);
+  ASSERT_GE(tree.height(), 2);
+  twin.Thaw();
+  std::vector<int> seen(entries.size(), 0);
+  for (uint32_t p = 1; p < twin.num_pages(); ++p) {
+    if (twin.IsFreePage(p) || !twin.node(p).is_leaf()) continue;
+    for (const RTreeEntry& e : twin.node(p).entries) {
+      ASSERT_LT(e.id, entries.size());
+      EXPECT_EQ(e.rect, entries[e.id].rect);
+      ++seen[e.id];
+    }
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<long>(entries.size()));
+  ExpectReadsLikeTwin(tree, twin, /*enforce_min_fill=*/false);
+  RandomEdits edits(56);
+  for (const RTreeEntry& e : entries) edits.live.emplace_back(e.rect, e.id);
+  edits.next_id = entries.size();
+  ExpectEditsAfterThawMatchTwin(&tree, &twin, &edits, false);
+}
+
 // Every golden figure and exact benchmark count depends on the pages of
 // the insertion-built paper trees: the goldens on scale 0.05, the
 // benchmark and the figures on full scale. The scale-0.05 constants were
@@ -795,6 +947,9 @@ struct PaperPages {
   double scale;
   uint64_t r;
   uint64_t s;
+  // The sealed images' block bytes, which follow from the pages alone.
+  size_t image_bytes_r;
+  size_t image_bytes_s;
 };
 
 void PrintTo(const PaperPages& pages, std::ostream* os) { *os << pages.name; }
@@ -807,15 +962,17 @@ TEST_P(RStarTreeFingerprintTest, PaperMapsKeepTheirPages) {
   const PaperWorkload workload(PaperWorkloadSpec().Scaled(pages.scale));
   EXPECT_EQ(TreeFingerprint(workload.tree_r()), pages.r);
   EXPECT_EQ(TreeFingerprint(workload.tree_s()), pages.s);
+  EXPECT_EQ(workload.tree_r().sealed().block_bytes(), pages.image_bytes_r);
+  EXPECT_EQ(workload.tree_s().sealed().block_bytes(), pages.image_bytes_s);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PaperScales, RStarTreeFingerprintTest,
     ::testing::Values(
         PaperPages{"Scale005", 0.05, 0x91d186b7211e263eULL,
-                   0xb3c1182432545140ULL},
+                   0xb3c1182432545140ULL, 314530, 303552},
         PaperPages{"FullScale", 1.0, 0x87beb41336830978ULL,
-                   0x69bf1e5c11742ab1ULL}),
+                   0x69bf1e5c11742ab1ULL, 6260313, 6075544}),
     [](const ::testing::TestParamInfo<PaperPages>& info) {
       return std::string(info.param.name);
     });

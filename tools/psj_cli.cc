@@ -804,10 +804,12 @@ int CmdServe(int argc, char** argv) {
   // num_threads (see ServiceConfig::metrics).
   std::unique_ptr<obs::MetricsRegistry> registry;
   obs::GaugeId seal_gauge;
+  obs::GaugeId image_gauge;
   if (with_metrics) {
     registry =
         std::make_unique<obs::MetricsRegistry>(options.num_threads + 1);
     seal_gauge = registry->DefineGauge("rtree_seal_us");
+    image_gauge = registry->DefineGauge("rtree_image_bytes");
     options.metrics = registry.get();
   }
 
@@ -822,6 +824,9 @@ int CmdServe(int argc, char** argv) {
   if (with_metrics) {
     const int64_t seal_us = dataset->tree_r.last_seal_micros() +
                             dataset->tree_s.last_seal_micros();
+    const auto image_bytes =
+        static_cast<int64_t>(dataset->tree_r.sealed().block_bytes() +
+                             dataset->tree_s.sealed().block_bytes());
     obs::ReporterOptions reporter_options;
     reporter_options.interval_ms =
         stats_every_ms > 0 ? stats_every_ms : 1000;
@@ -829,14 +834,16 @@ int CmdServe(int argc, char** argv) {
     reporter_options.json_path = metrics_json_out;
     const bool print_intervals = stats_every_ms > 0;
     reporter_options.on_interval =
-        [&registry, seal_gauge, seal_us, print_intervals](
-            const obs::MetricsSnapshot& current,
-            const obs::MetricsSnapshot& previous, double seconds) {
+        [&registry, seal_gauge, seal_us, image_gauge, image_bytes,
+         print_intervals](const obs::MetricsSnapshot& current,
+                          const obs::MetricsSnapshot& previous,
+                          double seconds) {
           // The service freezes the registry at its own Start(), after
-          // this reporter is already running — publish the seal gauge as
+          // this reporter is already running — publish the tree gauges as
           // soon as the hot path opens.
           if (registry->frozen()) {
             registry->Set(seal_gauge, seal_us);
+            registry->Set(image_gauge, image_bytes);
           }
           if (!print_intervals) {
             return;
