@@ -170,8 +170,8 @@ void BM_SecondFilterScreen(benchmark::State& state) {
     pts_a.push_back(Point{rng.NextDouble(), rng.NextDouble()});
     pts_b.push_back(Point{rng.NextDouble() + 0.9, rng.NextDouble()});
   }
-  const auto sections_a = ComputeSectionMbrs(Polyline(pts_a), 4);
-  const auto sections_b = ComputeSectionMbrs(Polyline(pts_b), 4);
+  const auto sections_a = ComputeSectionMbrs(PolylineView(pts_a), 4);
+  const auto sections_b = ComputeSectionMbrs(PolylineView(pts_b), 4);
   int64_t possible = 0;
   for (auto _ : state) {
     possible += SecondFilter::CanIntersect(sections_a, sections_b) ? 1 : 0;

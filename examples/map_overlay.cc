@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <vector>
 
 #include "core/parallel_join.h"
 #include "data/map_builder.h"
@@ -18,37 +19,37 @@
 
 namespace {
 
-using psj::MapObject;
+using psj::ObjectStore;
 using psj::Point;
-using psj::Polyline;
 
 // A closed, slightly irregular ring around (cx, cy) — the boundary of a
 // city or forest polygon. For boundary-intersection joins, polygon overlap
-// that is not full containment shows up as ring intersection.
-Polyline MakeRing(psj::Rng& rng, double cx, double cy, double radius,
-                  int vertices) {
-  Polyline ring;
+// that is not full containment shows up as ring intersection. The ring's
+// points replace `*ring`'s.
+void MakeRing(psj::Rng& rng, double cx, double cy, double radius,
+              int vertices, std::vector<Point>* ring) {
+  ring->clear();
   for (int v = 0; v <= vertices; ++v) {
     const double angle = 2.0 * M_PI * v / vertices;
     const double r = radius * (0.8 + 0.4 * rng.NextDouble());
-    ring.AddPoint(Point{cx + r * std::cos(angle), cy + r * std::sin(angle)});
+    ring->push_back(Point{cx + r * std::cos(angle), cy + r * std::sin(angle)});
   }
   // Close the ring exactly.
-  ring.AddPoint(ring.points().front());
-  return ring;
+  ring->push_back(ring->front());
 }
 
-std::vector<MapObject> MakeRings(uint64_t seed, int count, double radius) {
+ObjectStore MakeRings(uint64_t seed, int count, double radius) {
   psj::Rng rng(seed);
-  std::vector<MapObject> objects;
-  objects.reserve(static_cast<size_t>(count));
+  ObjectStore objects;
+  objects.Reserve(static_cast<size_t>(count));
+  std::vector<Point> ring;
   for (int i = 0; i < count; ++i) {
     const double cx = rng.NextDoubleInRange(0.05, 0.95);
     const double cy = rng.NextDoubleInRange(0.05, 0.95);
-    objects.push_back(MapObject{
-        static_cast<uint64_t>(i),
-        MakeRing(rng, cx, cy, radius * (0.5 + rng.NextDouble()),
-                 static_cast<int>(rng.NextInRange(8, 16)))});
+    const int vertices = static_cast<int>(rng.NextInRange(8, 16));
+    const double r = radius * (0.5 + rng.NextDouble());
+    MakeRing(rng, cx, cy, r, vertices, &ring);
+    objects.Add(ring);
   }
   return objects;
 }

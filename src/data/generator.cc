@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/check.h"
 
@@ -60,33 +61,35 @@ Point Geography::SamplePointNearCenter(Rng& rng, double sigma) const {
 namespace {
 
 // Walks `num_segments` steps from `start`, with per-step direction and
-// length callbacks, clamped to the world.
+// length callbacks, clamped to the world; the path replaces `*path`'s
+// points, so one scratch vector serves every walk of a map.
 template <typename DirectionFn, typename LengthFn>
-Polyline Walk(const Geography& geo, Point start, int num_segments,
-              DirectionFn&& direction, LengthFn&& length) {
-  Polyline line;
-  line.AddPoint(start);
+void Walk(const Geography& geo, Point start, int num_segments,
+          DirectionFn&& direction, LengthFn&& length,
+          std::vector<Point>* path) {
+  path->clear();
+  path->push_back(start);
   Point current = start;
   for (int s = 0; s < num_segments; ++s) {
     const double angle = direction(s);
     const double len = length(s);
     current = geo.ClampToWorld(Point{current.x + len * std::cos(angle),
                                      current.y + len * std::sin(angle)});
-    line.AddPoint(current);
+    path->push_back(current);
   }
-  return line;
 }
 
 }  // namespace
 
-std::vector<MapObject> GenerateStreetsMap(const Geography& geography,
-                                          const StreetsSpec& spec) {
+ObjectStore GenerateStreetsMap(const Geography& geography,
+                               const StreetsSpec& spec) {
   PSJ_CHECK_GT(spec.num_objects, 0);
   PSJ_CHECK_GE(spec.min_segments, 1);
   PSJ_CHECK_GE(spec.max_segments, spec.min_segments);
   Rng rng(spec.seed);
-  std::vector<MapObject> objects;
-  objects.reserve(static_cast<size_t>(spec.num_objects));
+  ObjectStore objects;
+  objects.Reserve(static_cast<size_t>(spec.num_objects));
+  std::vector<Point> line;
   for (int i = 0; i < spec.num_objects; ++i) {
     const size_t center = geography.SampleCenterIndex(rng);
     const Point& c = geography.centers[center];
@@ -99,48 +102,44 @@ std::vector<MapObject> GenerateStreetsMap(const Geography& geography,
     // multiple of 90 degrees, with small noise.
     const double base = geography.center_angles[center] +
                         static_cast<double>(rng.NextBelow(4)) * (M_PI / 2.0);
-    Polyline line = Walk(
+    Walk(
         geography, start, segments,
         [&](int) {
           return base + rng.NextDoubleInRange(-0.08, 0.08) +
                  (rng.NextBool(0.2) ? M_PI / 2.0 : 0.0);
         },
-        [&](int) { return rng.NextExponential(spec.segment_length); });
-    objects.push_back(MapObject{static_cast<uint64_t>(i), std::move(line)});
+        [&](int) { return rng.NextExponential(spec.segment_length); },
+        &line);
+    objects.Add(line);
   }
+  objects.ShrinkToFit();
   return objects;
 }
 
-std::vector<MapObject> GenerateMixedMap(const Geography& geography,
-                                        const MixedSpec& spec) {
+ObjectStore GenerateMixedMap(const Geography& geography,
+                             const MixedSpec& spec) {
   PSJ_CHECK_GT(spec.num_objects, 0);
   PSJ_CHECK_GE(spec.frac_boundaries, 0.0);
   PSJ_CHECK_GE(spec.frac_rivers, 0.0);
   PSJ_CHECK_LE(spec.frac_boundaries + spec.frac_rivers, 1.0);
   Rng rng(spec.seed);
-  std::vector<MapObject> objects;
-  objects.reserve(static_cast<size_t>(spec.num_objects));
+  ObjectStore objects;
+  objects.Reserve(static_cast<size_t>(spec.num_objects));
+  std::vector<Point> path;
 
   const Rect& world = geography.world;
 
   // Emits consecutive fragments of a long feature path as separate map
   // objects, TIGER-chain style, until the path or the object budget runs
   // out.
-  const auto emit_fragments = [&](const Polyline& path) {
-    const auto& pts = path.points();
+  const auto emit_fragments = [&](std::span<const Point> pts) {
     size_t i = 0;
     while (i + 1 < pts.size() &&
            objects.size() < static_cast<size_t>(spec.num_objects)) {
       const size_t segs = static_cast<size_t>(
           rng.NextInRange(spec.min_segments, spec.max_segments));
       const size_t end = std::min(pts.size() - 1, i + segs);
-      Polyline fragment;
-      for (size_t k = i; k <= end; ++k) {
-        fragment.AddPoint(pts[k]);
-      }
-      objects.push_back(
-          MapObject{static_cast<uint64_t>(objects.size()),
-                    std::move(fragment)});
+      objects.Add(pts.subspan(i, end - i + 1));
       i = end;
     }
   };
@@ -159,7 +158,7 @@ std::vector<MapObject> GenerateMixedMap(const Geography& geography,
       const double side = static_cast<double>(num_segments) / 4.0;
       double heading = rng.NextDoubleInRange(0.0, 2.0 * M_PI);
       int step = 0;
-      Polyline path = Walk(
+      Walk(
           geography, anchor, num_segments,
           [&](int) {
             // Turn ~90 degrees every quarter of the loop.
@@ -168,7 +167,8 @@ std::vector<MapObject> GenerateMixedMap(const Geography& geography,
             }
             return heading + rng.NextDoubleInRange(-0.25, 0.25);
           },
-          [&](int) { return rng.NextExponential(spec.segment_length); });
+          [&](int) { return rng.NextExponential(spec.segment_length); },
+          &path);
       emit_fragments(path);
     } else if (kind < spec.frac_boundaries + spec.frac_rivers) {
       // River: long meander starting at a world edge, heading inward.
@@ -194,13 +194,14 @@ std::vector<MapObject> GenerateMixedMap(const Geography& geography,
           break;
       }
       const int num_segments = static_cast<int>(rng.NextInRange(80, 240));
-      Polyline path = Walk(
+      Walk(
           geography, start, num_segments,
           [&](int) {
             heading += 0.25 * rng.NextGaussian();
             return heading;
           },
-          [&](int) { return rng.NextExponential(spec.segment_length * 1.4); });
+          [&](int) { return rng.NextExponential(spec.segment_length * 1.4); },
+          &path);
       emit_fragments(path);
     } else {
       // Railway: an almost straight line between two population centers.
@@ -216,35 +217,35 @@ std::vector<MapObject> GenerateMixedMap(const Geography& geography,
       const double seg = spec.segment_length * 1.2;
       const int num_segments =
           std::max(2, static_cast<int>(dist / seg));
-      Polyline path = Walk(
+      Walk(
           geography, from, num_segments,
           [&](int) { return heading + rng.NextDoubleInRange(-0.03, 0.03); },
-          [&](int) { return seg; });
+          [&](int) { return seg; }, &path);
       emit_fragments(path);
     }
   }
+  objects.ShrinkToFit();
   return objects;
 }
 
-std::vector<MapObject> GenerateUniformSegments(uint64_t seed, int num_objects,
-                                               double segment_length,
-                                               const Rect& world) {
+ObjectStore GenerateUniformSegments(uint64_t seed, int num_objects,
+                                    double segment_length, const Rect& world) {
   PSJ_CHECK_GE(num_objects, 0);
   Rng rng(seed);
-  std::vector<MapObject> objects;
-  objects.reserve(static_cast<size_t>(num_objects));
+  ObjectStore objects;
+  objects.Reserve(static_cast<size_t>(num_objects));
   for (int i = 0; i < num_objects; ++i) {
     const Point start{rng.NextDoubleInRange(world.xl, world.xu),
                       rng.NextDoubleInRange(world.yl, world.yu)};
     const double angle = rng.NextDoubleInRange(0.0, 2.0 * M_PI);
     const double len = rng.NextExponential(segment_length);
-    Polyline line;
-    line.AddPoint(start);
-    line.AddPoint(Point{
-        std::clamp(start.x + len * std::cos(angle), world.xl, world.xu),
-        std::clamp(start.y + len * std::sin(angle), world.yl, world.yu)});
-    objects.push_back(MapObject{static_cast<uint64_t>(i), std::move(line)});
+    const Point segment[2] = {
+        start,
+        Point{std::clamp(start.x + len * std::cos(angle), world.xl, world.xu),
+              std::clamp(start.y + len * std::sin(angle), world.yl, world.yu)}};
+    objects.Add(segment);
   }
+  objects.ShrinkToFit();
   return objects;
 }
 

@@ -68,19 +68,22 @@ struct MixedSpec {
   double center_attraction = 0.45;
 };
 
+// Each generator appends every object's points straight into the store it
+// returns, so a map is the store's two arrays and nothing more.
+
 /// Generates the streets map; object ids are dense 0 … num_objects-1.
-std::vector<MapObject> GenerateStreetsMap(const Geography& geography,
-                                          const StreetsSpec& spec);
+ObjectStore GenerateStreetsMap(const Geography& geography,
+                               const StreetsSpec& spec);
 
 /// Generates the mixed map; object ids are dense 0 … num_objects-1.
-std::vector<MapObject> GenerateMixedMap(const Geography& geography,
-                                        const MixedSpec& spec);
+ObjectStore GenerateMixedMap(const Geography& geography,
+                             const MixedSpec& spec);
 
 /// Uniformly distributed short segments, for unit tests and microbenchmarks.
-std::vector<MapObject> GenerateUniformSegments(uint64_t seed, int num_objects,
-                                               double segment_length,
-                                               const Rect& world = Rect(
-                                                   0.0, 0.0, 1.0, 1.0));
+ObjectStore GenerateUniformSegments(uint64_t seed, int num_objects,
+                                    double segment_length,
+                                    const Rect& world = Rect(0.0, 0.0, 1.0,
+                                                             1.0));
 
 }  // namespace psj
 

@@ -3,7 +3,7 @@
 namespace psj {
 
 RStarTree BuildTreeFromObjects(uint32_t tree_id,
-                               const std::vector<MapObject>& objects,
+                               ObjectRange objects,
                                TreeBuildMethod method, RTreeOptions options,
                                double str_fill) {
   if (method == TreeBuildMethod::kStr) {

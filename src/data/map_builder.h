@@ -18,7 +18,7 @@ enum class TreeBuildMethod {
 /// Builds the R*-tree organizing the MBRs of `objects`; entry ids are the
 /// object ids. With kStr, `str_fill` selects the node occupancy.
 RStarTree BuildTreeFromObjects(uint32_t tree_id,
-                               const std::vector<MapObject>& objects,
+                               ObjectRange objects,
                                TreeBuildMethod method =
                                    TreeBuildMethod::kInsertion,
                                RTreeOptions options = RTreeOptions(),

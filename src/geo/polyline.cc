@@ -62,18 +62,13 @@ bool SegmentIntersectsRect(const Point& a, const Point& b, const Rect& rect) {
   return false;
 }
 
-Polyline::Polyline(std::vector<Point> points) : points_(std::move(points)) {
+PolylineView::PolylineView(std::span<const Point> points) : points_(points) {
   for (const Point& p : points_) {
     mbr_.ExpandToIncludePoint(p);
   }
 }
 
-void Polyline::AddPoint(const Point& p) {
-  points_.push_back(p);
-  mbr_.ExpandToIncludePoint(p);
-}
-
-double Polyline::Length() const {
+double PolylineView::Length() const {
   double total = 0.0;
   for (size_t i = 1; i < points_.size(); ++i) {
     const double dx = points_[i].x - points_[i - 1].x;
@@ -83,7 +78,7 @@ double Polyline::Length() const {
   return total;
 }
 
-bool Polyline::Intersects(const Polyline& other) const {
+bool PolylineView::Intersects(const PolylineView& other) const {
   if (points_.empty() || other.points_.empty()) {
     return false;
   }
@@ -114,7 +109,7 @@ bool Polyline::Intersects(const Polyline& other) const {
   return false;
 }
 
-bool Polyline::IntersectsRect(const Rect& rect) const {
+bool PolylineView::IntersectsRect(const Rect& rect) const {
   if (points_.empty() || !mbr_.Intersects(rect)) {
     return false;
   }

@@ -5,22 +5,22 @@
 #include "util/check.h"
 
 namespace psj {
+namespace {
 
-std::vector<Rect> ComputeSectionMbrs(const Polyline& line, int max_sections) {
+// Appends the section MBRs of the polyline through `points` to `sections`.
+void AppendSectionMbrs(std::span<const Point> points, int max_sections,
+                       std::vector<Rect>* sections) {
   PSJ_CHECK_GE(max_sections, 1);
-  std::vector<Rect> sections;
-  const auto& points = line.points();
   if (points.empty()) {
-    return sections;
+    return;
   }
   if (points.size() == 1) {
-    sections.push_back(Rect::FromPoint(points[0]));
-    return sections;
+    sections->push_back(Rect::FromPoint(points[0]));
+    return;
   }
   const size_t num_segments = points.size() - 1;
   const size_t num_sections =
       std::min<size_t>(static_cast<size_t>(max_sections), num_segments);
-  sections.reserve(num_sections);
   // Distribute segments evenly; consecutive sections share their boundary
   // vertex so the union of the section MBRs covers the whole polyline.
   const size_t base = num_segments / num_sections;
@@ -32,23 +32,32 @@ std::vector<Rect> ComputeSectionMbrs(const Polyline& line, int max_sections) {
     for (size_t k = 0; k < count; ++k) {
       mbr.ExpandToIncludePoint(points[segment + k + 1]);
     }
-    sections.push_back(mbr);
+    sections->push_back(mbr);
     segment += count;
   }
+}
+
+}  // namespace
+
+std::vector<Rect> ComputeSectionMbrs(PolylineView line, int max_sections) {
+  std::vector<Rect> sections;
+  AppendSectionMbrs(line.points(), max_sections, &sections);
   return sections;
 }
 
 SecondFilter::SecondFilter(const ObjectStore& store, int max_sections)
     : max_sections_(max_sections) {
   PSJ_CHECK_GE(max_sections, 1);
-  sections_.reserve(store.size());
+  offsets_.reserve(store.size() + 1);
+  offsets_.push_back(0);
   for (const MapObject& obj : store.objects()) {
-    sections_.push_back(ComputeSectionMbrs(obj.geometry, max_sections));
+    AppendSectionMbrs(obj.geometry.points(), max_sections, &sections_);
+    offsets_.push_back(static_cast<uint32_t>(sections_.size()));
   }
 }
 
-bool SecondFilter::CanIntersect(const std::vector<Rect>& a,
-                                const std::vector<Rect>& b,
+bool SecondFilter::CanIntersect(std::span<const Rect> a,
+                                std::span<const Rect> b,
                                 size_t* tests_performed) {
   // Early-out screen over at most max_sections rects a side: a full row of
   // |b| tests per miss, hit_index + 1 on the terminating row.

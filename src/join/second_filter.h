@@ -2,6 +2,7 @@
 #define PSJ_JOIN_SECOND_FILTER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/map_object.h"
@@ -12,7 +13,7 @@ namespace psj {
 /// Splits a polyline into up to `max_sections` contiguous runs of segments
 /// (consecutive runs share their boundary vertex) and returns one MBR per
 /// run — a finer conservative approximation than the single MBR.
-std::vector<Rect> ComputeSectionMbrs(const Polyline& line, int max_sections);
+std::vector<Rect> ComputeSectionMbrs(PolylineView line, int max_sections);
 
 /// \brief The *second filter step* of multi-step spatial join processing
 /// ([BKSS 94] / [BKS 94], referenced in the paper's §2.1): before paying
@@ -32,20 +33,23 @@ class SecondFilter {
 
   int max_sections() const { return max_sections_; }
 
-  const std::vector<Rect>& sections(uint64_t oid) const {
-    return sections_[oid];
+  std::span<const Rect> sections(uint64_t oid) const {
+    return std::span<const Rect>(sections_.data() + offsets_[oid],
+                                 offsets_[oid + 1] - offsets_[oid]);
   }
 
   /// True unless the section approximations prove the two objects cannot
   /// intersect. `tests_performed`, when non-null, receives the number of
   /// section-pair rectangle tests (for CPU accounting).
-  static bool CanIntersect(const std::vector<Rect>& a,
-                           const std::vector<Rect>& b,
+  static bool CanIntersect(std::span<const Rect> a, std::span<const Rect> b,
                            size_t* tests_performed = nullptr);
 
  private:
   int max_sections_;
-  std::vector<std::vector<Rect>> sections_;  // Indexed by object id.
+  /// Every object's section MBRs in one array, in object-id order: object
+  /// i's are sections_[offsets_[i], offsets_[i + 1]).
+  std::vector<Rect> sections_;
+  std::vector<uint32_t> offsets_;
 };
 
 }  // namespace psj

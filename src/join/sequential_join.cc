@@ -101,12 +101,18 @@ SequentialJoinResult SequentialRTreeJoin(const RStarTree& tree_r,
 BruteForceJoinResult BruteForceObjectJoin(const ObjectStore& store_r,
                                           const ObjectStore& store_s) {
   BruteForceJoinResult result;
+  // Get() folds an object's MBR from its points; fold the inner side's once.
+  std::vector<Rect> mbrs_s;
+  mbrs_s.reserve(store_s.size());
+  for (const MapObject& b : store_s.objects()) {
+    mbrs_s.push_back(b.Mbr());
+  }
   for (const MapObject& a : store_r.objects()) {
-    for (const MapObject& b : store_s.objects()) {
-      if (a.Mbr().Intersects(b.Mbr())) {
-        result.candidates.emplace_back(a.id, b.id);
-        if (a.geometry.Intersects(b.geometry)) {
-          result.answers.emplace_back(a.id, b.id);
+    for (uint64_t id_s = 0; id_s < mbrs_s.size(); ++id_s) {
+      if (a.Mbr().Intersects(mbrs_s[id_s])) {
+        result.candidates.emplace_back(a.id, id_s);
+        if (a.geometry.Intersects(store_s.Get(id_s).geometry)) {
+          result.answers.emplace_back(a.id, id_s);
         }
       }
     }

@@ -255,9 +255,9 @@ bool RStarTree::IsFreePage(uint32_t page_no) const {
 }
 
 void RStarTree::Insert(const Rect& rect, uint64_t oid) {
-  // Checked on entry: the descent below would first reach a data page,
-  // which a sealed tree has released.
-  PSJ_DCHECK_PHASE(phase_ == TreePhase::kMutable)
+  // Checked on entry, in every build: the descent below would first reach
+  // a data page, which a sealed tree has released.
+  PSJ_CHECK(phase_ == TreePhase::kMutable)
       << "Insert on a sealed tree; call Thaw() before mutating";
   PSJ_CHECK(rect.IsValid()) << "Insert with invalid rect" << rect.ToString();
   std::vector<bool> reinserted(static_cast<size_t>(height_), false);
@@ -729,7 +729,8 @@ bool RStarTree::FindLeafPath(uint32_t page_no, const Rect& rect, uint64_t oid,
 }
 
 bool RStarTree::Delete(const Rect& rect, uint64_t oid) {
-  PSJ_DCHECK_PHASE(phase_ == TreePhase::kMutable)
+  // Checked in every build, as in Insert.
+  PSJ_CHECK(phase_ == TreePhase::kMutable)
       << "Delete on a sealed tree; call Thaw() before mutating";
   std::vector<uint32_t> path;
   if (!FindLeafPath(root_page_, rect, oid, &path)) {

@@ -163,11 +163,12 @@ class RStarTree {
   /// requires a sealed tree.
   ///
   /// Sealing also enters the kSealed phase of the tree's lifecycle: every
-  /// structural mutation (Insert/Delete and the private doorways they go
-  /// through) PSJ_DCHECK_PHASE-fails until Thaw() re-enters kMutable. The
-  /// phase contract is what lets the shared-tree consumers (native join
-  /// workers, the serving layer) read the tree concurrently without locks;
-  /// tools/psj_lint.py's `sealed-phase` rule checks call sites statically.
+  /// structural mutation fails until Thaw() re-enters kMutable. Insert and
+  /// Delete PSJ_CHECK the phase in every build; the private doorways they
+  /// go through PSJ_DCHECK_PHASE it. The phase contract is what lets the
+  /// shared-tree consumers (native join workers, the serving layer) read
+  /// the tree concurrently without locks; tools/psj_lint.py's
+  /// `sealed-phase` rule checks call sites statically.
   void Seal();
 
   /// Re-enters the mutable phase after a Seal(), declaring the intent to

@@ -1,9 +1,9 @@
 // Concurrency-contract suite (DESIGN.md §14).
 //
-// 1. The sealed-state phase contract: PSJ_DCHECK_PHASE must abort any
-//    structural mutation of a Seal()ed RStarTree until Thaw() — death
-//    tests, active whenever PSJ_DCHECK is compiled in (debug builds and
-//    any -DPSJ_ENABLE_DCHECKS=ON preset), skipped otherwise.
+// 1. The sealed-state phase contract: Insert and Delete on a Seal()ed
+//    RStarTree abort until Thaw() — death tests that run in every build,
+//    since both check the phase with PSJ_CHECK — and Thaw() re-enables
+//    mutation.
 // 2. The annotated util::Mutex/MutexLock/CondVar wrappers are pure
 //    forwarders: wrapping every host-threaded subsystem's locks must not
 //    change a single bit of any result. Five repeated runs of the
@@ -19,16 +19,14 @@
 #include "rtree/rstar_tree.h"
 #include "serve/query.h"
 #include "serve/service.h"
-#include "util/check.h"
 
 namespace psj {
 namespace {
 
 RStarTree BuildSmallTree(uint32_t id, uint64_t seed, int count = 300) {
-  return BuildTreeFromObjects(id, GenerateUniformSegments(seed, count, 0.02));
+  return BuildTreeFromObjects(
+      id, GenerateUniformSegments(seed, count, 0.02).objects());
 }
-
-#if PSJ_DCHECK_IS_ON
 
 using PhaseDeathTest = ::testing::Test;
 
@@ -37,15 +35,15 @@ TEST(PhaseDeathTest, InsertOnSealedTreeAborts) {
   ASSERT_NE(tree.soa(), nullptr);  // BuildTreeFromObjects seals.
   ASSERT_EQ(tree.phase(), RStarTree::TreePhase::kSealed);
   EXPECT_DEATH(tree.Insert(Rect(0.1, 0.1, 0.2, 0.2), 9999),
-               "sealed tree");  // psj-lint: phase-ok(death test asserts the abort)
+               "call Thaw\\(\\) before mutating");  // psj-lint: phase-ok(death test asserts the abort)
 }
 
 TEST(PhaseDeathTest, DeleteOnSealedTreeAborts) {
-  const std::vector<MapObject> objects = GenerateUniformSegments(12, 300, 0.02);
-  RStarTree tree = BuildTreeFromObjects(1, objects);
-  const Rect victim = objects[0].Mbr();
+  const ObjectStore objects = GenerateUniformSegments(12, 300, 0.02);
+  RStarTree tree = BuildTreeFromObjects(1, objects.objects());
+  const Rect victim = objects.Get(0).Mbr();
   EXPECT_DEATH(tree.Delete(victim, 0),
-               "sealed tree");  // psj-lint: phase-ok(death test asserts the abort)
+               "call Thaw\\(\\) before mutating");  // psj-lint: phase-ok(death test asserts the abort)
 }
 
 TEST(PhaseDeathTest, ThawReenablesMutation) {
@@ -60,24 +58,14 @@ TEST(PhaseDeathTest, ThawReenablesMutation) {
   EXPECT_EQ(tree.phase(), RStarTree::TreePhase::kSealed);
 }
 
-#else
-
-TEST(PhaseDeathTest, SkippedWithoutDchecks) {
-  GTEST_SKIP() << "PSJ_DCHECK compiled out (NDEBUG without "
-                  "PSJ_ENABLE_DCHECKS); the phase contract is enforced in "
-                  "debug, sanitizer, and analyze builds";
-}
-
-#endif  // PSJ_DCHECK_IS_ON
-
 // Five runs of the deterministic native join must return bit-identical
 // candidate vectors: the annotated mutex wrappers (work pool, service) and
 // the memory-order tightenings must not perturb any result.
 TEST(WrapperIdentityTest, DeterministicNativeJoinIsBitIdenticalAcrossRuns) {
-  const RStarTree tree_r =
-      BuildTreeFromObjects(1, GenerateUniformSegments(21, 1500, 0.01));
-  const RStarTree tree_s =
-      BuildTreeFromObjects(2, GenerateUniformSegments(22, 1500, 0.02));
+  const RStarTree tree_r = BuildTreeFromObjects(
+      1, GenerateUniformSegments(21, 1500, 0.01).objects());
+  const RStarTree tree_s = BuildTreeFromObjects(
+      2, GenerateUniformSegments(22, 1500, 0.02).objects());
   native::NativeJoinConfig config;
   config.num_threads = 4;
   config.deterministic = true;

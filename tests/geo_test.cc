@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "geo/polyline.h"
 #include "geo/rect.h"
+#include "util/rng.h"
 
 namespace psj {
 namespace {
@@ -208,6 +216,152 @@ TEST(PolylineTest, EmptyNeverIntersects) {
   EXPECT_FALSE(empty.Intersects(segment));
   EXPECT_FALSE(segment.Intersects(empty));
   EXPECT_FALSE(empty.Intersects(empty));
+}
+
+// ---- PolylineView against the owner and the definitions --------------------
+
+// The definitions the predicates implement, without their MBR pruning.
+Rect ReferenceMbr(std::span<const Point> points) {
+  Rect mbr = Rect::Empty();
+  for (const Point& p : points) {
+    mbr.ExpandToIncludePoint(p);
+  }
+  return mbr;
+}
+
+double ReferenceLength(std::span<const Point> points) {
+  double total = 0.0;
+  for (size_t i = 1; i < points.size(); ++i) {
+    total += std::hypot(points[i].x - points[i - 1].x,
+                        points[i].y - points[i - 1].y);
+  }
+  return total;
+}
+
+// A single point is the zero-length segment from itself to itself.
+std::vector<std::pair<Point, Point>> SegmentsOf(std::span<const Point> points) {
+  std::vector<std::pair<Point, Point>> segments;
+  if (points.size() == 1) {
+    segments.emplace_back(points[0], points[0]);
+  }
+  for (size_t i = 1; i < points.size(); ++i) {
+    segments.emplace_back(points[i - 1], points[i]);
+  }
+  return segments;
+}
+
+bool ReferenceIntersects(std::span<const Point> a, std::span<const Point> b) {
+  for (const auto& [a0, a1] : SegmentsOf(a)) {
+    for (const auto& [b0, b1] : SegmentsOf(b)) {
+      if (SegmentsIntersect(a0, a1, b0, b1)) return true;
+    }
+  }
+  return false;
+}
+
+bool ReferenceIntersectsRect(std::span<const Point> points, const Rect& rect) {
+  if (points.size() == 1) return rect.ContainsPoint(points[0]);
+  for (const auto& [p0, p1] : SegmentsOf(points)) {
+    if (SegmentIntersectsRect(p0, p1, rect)) return true;
+  }
+  return false;
+}
+
+bool SameBits(const Rect& a, const Rect& b) {
+  return std::memcmp(&a, &b, sizeof(Rect)) == 0;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Coordinates from a small exact grid, with both zeros, so the fuzz hits
+// shared endpoints, collinear overlaps, touching corners and -0.0 folds.
+double GridCoordinate(Rng& rng) {
+  static constexpr double kGrid[] = {-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0};
+  return kGrid[rng.NextBelow(std::size(kGrid))];
+}
+
+TEST(PolylineViewTest, ViewsInAFlatArrayMatchTheOwnerBitForBit) {
+  Rng rng(2026);
+  int intersecting = 0;
+  int touching_rects = 0;
+  for (int trial = 0; trial < 4'000; ++trial) {
+    // Two polylines of 1-6 points, laid out in one array between points
+    // that belong to neither, as an object store lays out its objects.
+    std::vector<Point> flat;
+    size_t begin[2];
+    size_t count[2];
+    for (int k = 0; k < 2; ++k) {
+      flat.push_back(Point{100.0 + trial, -100.0});  // A neighbour.
+      begin[k] = flat.size();
+      count[k] = 1 + rng.NextBelow(6);
+      for (size_t i = 0; i < count[k]; ++i) {
+        // Repeat the previous point now and then (zero-length segments).
+        if (i > 0 && rng.NextBool(0.15)) {
+          flat.push_back(flat.back());
+        } else {
+          flat.push_back(Point{GridCoordinate(rng), GridCoordinate(rng)});
+        }
+      }
+    }
+    flat.push_back(Point{-100.0, 100.0 + trial});
+    const std::span<const Point> all(flat);
+    const std::span<const Point> a = all.subspan(begin[0], count[0]);
+    const std::span<const Point> b = all.subspan(begin[1], count[1]);
+    const PolylineView view_a(a);
+    const PolylineView view_b(b);
+    const Polyline owner_a(std::vector<Point>(a.begin(), a.end()));
+    const Polyline owner_b(std::vector<Point>(b.begin(), b.end()));
+    double corner[4];  // Drawn in order: call arguments are unsequenced.
+    for (double& c : corner) {
+      c = GridCoordinate(rng);
+    }
+    const Rect window(std::min(corner[0], corner[1]),
+                      std::min(corner[2], corner[3]),
+                      std::max(corner[0], corner[1]),
+                      std::max(corner[2], corner[3]));
+
+    ASSERT_TRUE(SameBits(view_a.Mbr(), owner_a.Mbr())) << trial;
+    ASSERT_TRUE(SameBits(view_a.Mbr(), ReferenceMbr(a))) << trial;
+    ASSERT_TRUE(SameBits(view_b.Mbr(), owner_b.Mbr())) << trial;
+    ASSERT_TRUE(SameBits(view_a.Length(), owner_a.Length())) << trial;
+    ASSERT_TRUE(SameBits(view_a.Length(), ReferenceLength(a))) << trial;
+    const bool hit = ReferenceIntersects(a, b);
+    ASSERT_EQ(view_a.Intersects(view_b), hit) << trial;
+    ASSERT_EQ(view_b.Intersects(view_a), hit) << trial;
+    ASSERT_EQ(owner_a.Intersects(owner_b), hit) << trial;
+    const bool inside = ReferenceIntersectsRect(a, window);
+    ASSERT_EQ(view_a.IntersectsRect(window), inside) << trial;
+    ASSERT_EQ(owner_a.IntersectsRect(window), inside) << trial;
+    intersecting += hit ? 1 : 0;
+    touching_rects += inside ? 1 : 0;
+  }
+  // The fuzz exercised both outcomes of both predicates.
+  EXPECT_GT(intersecting, 400);
+  EXPECT_LT(intersecting, 3'600);
+  EXPECT_GT(touching_rects, 400);
+  EXPECT_LT(touching_rects, 3'600);
+}
+
+TEST(PolylineViewTest, SignedZerosFoldInPointOrder) {
+  // std::min(0.0, -0.0) keeps its first argument, so the MBR's zero signs
+  // follow the point order; view and owner fold in the same order.
+  const std::vector<Point> points = {{0.0, -0.0}, {-0.0, 0.0}};
+  const PolylineView view(points);
+  EXPECT_TRUE(SameBits(view.Mbr(), Polyline(points).Mbr()));
+  EXPECT_FALSE(std::signbit(view.Mbr().xl));
+  EXPECT_TRUE(std::signbit(view.Mbr().yl));
+}
+
+TEST(PolylineViewTest, EmptyViewMatchesTheEmptyOwner) {
+  const PolylineView view;
+  EXPECT_TRUE(view.empty());
+  EXPECT_TRUE(SameBits(view.Mbr(), Rect::Empty()));
+  EXPECT_TRUE(SameBits(view.Mbr(), Polyline().Mbr()));
+  EXPECT_EQ(view.Length(), 0.0);
+  EXPECT_FALSE(view.Intersects(Polyline({{0, 0}, {1, 1}})));
+  EXPECT_FALSE(view.IntersectsRect(Rect(-1, -1, 1, 1)));
 }
 
 }  // namespace

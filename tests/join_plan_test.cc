@@ -63,16 +63,17 @@ std::string ShapeName(Shape shape) {
 /// Maps every point of `store` by (x, y) -> (offset + scale·x,
 /// offset + scale·y), keeping the ids.
 ObjectStore Squeeze(const ObjectStore& store, double offset, double scale) {
-  std::vector<MapObject> objects;
-  objects.reserve(store.size());
+  ObjectStore squeezed;
+  squeezed.Reserve(store.size());
+  std::vector<Point> points;
   for (const MapObject& object : store.objects()) {
-    std::vector<Point> points;
+    points.clear();
     for (const Point& p : object.geometry.points()) {
       points.push_back(Point{offset + scale * p.x, offset + scale * p.y});
     }
-    objects.push_back(MapObject{object.id, Polyline(std::move(points))});
+    squeezed.Add(points);
   }
-  return ObjectStore(std::move(objects));
+  return squeezed;
 }
 
 std::unique_ptr<Inputs> MakeInputs(Shape shape) {

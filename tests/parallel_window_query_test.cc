@@ -208,12 +208,9 @@ TEST(WindowQueryRefinementTest, DistinguishesMbrFromGeometry) {
   // Hand-built store: a diagonal segment whose MBR overlaps the window
   // corner while the geometry stays outside (false hit), plus one segment
   // crossing the window (answer).
-  std::vector<MapObject> objects;
-  objects.push_back(
-      MapObject{0, Polyline({{0.35, 0.47}, {0.43, 0.55}})});  // False hit.
-  objects.push_back(
-      MapObject{1, Polyline({{0.45, 0.45}, {0.48, 0.48}})});  // Answer.
-  const ObjectStore store(std::move(objects));
+  ObjectStore store;
+  store.Add(std::vector<Point>{{0.35, 0.47}, {0.43, 0.55}});  // False hit.
+  store.Add(std::vector<Point>{{0.45, 0.45}, {0.48, 0.48}});  // Answer.
   const RStarTree tree = BuildTreeFromObjects(7, store.objects());
   const Rect window(0.4, 0.4, 0.5, 0.5);
   ASSERT_TRUE(store.Get(0).Mbr().Intersects(window));

@@ -13,7 +13,7 @@ namespace {
 
 RStarTree MakeTree(int num_objects) {
   return BuildTreeFromObjects(
-      1, GenerateUniformSegments(5, num_objects, 0.01));
+      1, GenerateUniformSegments(5, num_objects, 0.01).objects());
 }
 
 TEST(HilbertStripingTest, CoversEveryLivePageExactlyOnce) {

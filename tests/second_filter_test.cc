@@ -61,22 +61,23 @@ TEST(SectionMbrsTest, DegenerateInputs) {
 // tighter than the single MBR.
 ObjectStore MakeZigzagStore(uint64_t seed, int count) {
   Rng rng(seed);
-  std::vector<MapObject> objects;
+  ObjectStore objects;
+  std::vector<Point> line;
   for (int i = 0; i < count; ++i) {
-    Polyline line;
+    line.clear();
     double x = rng.NextDoubleInRange(0.0, 1.0);
     double y = rng.NextDoubleInRange(0.0, 1.0);
-    line.AddPoint({x, y});
+    line.push_back({x, y});
     double heading = rng.NextDoubleInRange(0.0, 2.0 * M_PI);
     for (int s = 0; s < 8; ++s) {
       heading += rng.NextDoubleInRange(-1.0, 1.0);
       x += 0.02 * std::cos(heading);
       y += 0.02 * std::sin(heading);
-      line.AddPoint({x, y});
+      line.push_back({x, y});
     }
-    objects.push_back(MapObject{static_cast<uint64_t>(i), std::move(line)});
+    objects.Add(line);
   }
-  return ObjectStore(std::move(objects));
+  return objects;
 }
 
 TEST(SecondFilterTest, NeverEliminatesARealIntersection) {

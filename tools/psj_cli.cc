@@ -121,19 +121,26 @@ std::optional<Dataset> LoadDataset(const std::string& prefix) {
   auto store_s = ObjectStore::LoadFromFile(prefix + "_store_s.bin");
   auto file_r = PageFile::LoadFromFile(prefix + "_tree_r.pf");
   auto file_s = PageFile::LoadFromFile(prefix + "_tree_s.pf");
-  if (!store_r.ok() || !store_s.ok() || !file_r.ok() || !file_s.ok()) {
-    std::fprintf(stderr,
-                 "error: cannot load dataset at prefix '%s' (run "
-                 "'psj_cli generate --prefix=%s' first)\n",
-                 prefix.c_str(), prefix.c_str());
-    return std::nullopt;
+  // The first failure names its file and why (missing, or Corruption).
+  for (const Status& status : {store_r.status(), store_s.status(),
+                               file_r.status(), file_s.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr,
+                   "error: cannot load dataset at prefix '%s': %s (run "
+                   "'psj_cli generate --prefix=%s' first)\n",
+                   prefix.c_str(), status.ToString().c_str(),
+                   prefix.c_str());
+      return std::nullopt;
+    }
   }
   auto tree_r = RStarTree::LoadFromPageFile(*file_r);
   auto tree_s = RStarTree::LoadFromPageFile(*file_s);
-  if (!tree_r.ok() || !tree_s.ok()) {
-    std::fprintf(stderr, "error: corrupt tree files at prefix '%s'\n",
-                 prefix.c_str());
-    return std::nullopt;
+  for (const Status& status : {tree_r.status(), tree_s.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: corrupt tree files at prefix '%s': %s\n",
+                   prefix.c_str(), status.ToString().c_str());
+      return std::nullopt;
+    }
   }
   return Dataset{std::move(store_r).value(), std::move(store_s).value(),
                  std::move(tree_r).value(), std::move(tree_s).value()};
@@ -805,11 +812,13 @@ int CmdServe(int argc, char** argv) {
   std::unique_ptr<obs::MetricsRegistry> registry;
   obs::GaugeId seal_gauge;
   obs::GaugeId image_gauge;
+  obs::GaugeId store_gauge;
   if (with_metrics) {
     registry =
         std::make_unique<obs::MetricsRegistry>(options.num_threads + 1);
     seal_gauge = registry->DefineGauge("rtree_seal_us");
     image_gauge = registry->DefineGauge("rtree_image_bytes");
+    store_gauge = registry->DefineGauge("object_store_bytes");
     options.metrics = registry.get();
   }
 
@@ -827,6 +836,8 @@ int CmdServe(int argc, char** argv) {
     const auto image_bytes =
         static_cast<int64_t>(dataset->tree_r.sealed().block_bytes() +
                              dataset->tree_s.sealed().block_bytes());
+    const auto store_bytes = static_cast<int64_t>(
+        dataset->store_r.bytes() + dataset->store_s.bytes());
     obs::ReporterOptions reporter_options;
     reporter_options.interval_ms =
         stats_every_ms > 0 ? stats_every_ms : 1000;
@@ -835,15 +846,16 @@ int CmdServe(int argc, char** argv) {
     const bool print_intervals = stats_every_ms > 0;
     reporter_options.on_interval =
         [&registry, seal_gauge, seal_us, image_gauge, image_bytes,
-         print_intervals](const obs::MetricsSnapshot& current,
+         store_gauge, store_bytes, print_intervals](const obs::MetricsSnapshot& current,
                           const obs::MetricsSnapshot& previous,
                           double seconds) {
           // The service freezes the registry at its own Start(), after
-          // this reporter is already running — publish the tree gauges as
-          // soon as the hot path opens.
+          // this reporter is already running — publish the tree and store
+          // gauges as soon as the hot path opens.
           if (registry->frozen()) {
             registry->Set(seal_gauge, seal_us);
             registry->Set(image_gauge, image_bytes);
+            registry->Set(store_gauge, store_bytes);
           }
           if (!print_intervals) {
             return;

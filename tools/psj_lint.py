@@ -67,6 +67,14 @@ leak into simulated results.
                        matching, the second filter and the exact polyline
                        test run once per plan (src/core/join_plan.cc), not
                        once per simulated configuration.
+  flat-objects         src/ keeps each map's geometry flat: no
+                       std::vector<MapObject>, std::vector<Polyline>,
+                       std::vector<std::vector<Point>> or
+                       std::vector<std::vector<Rect>>, each of which is
+                       one heap block per object. An ObjectStore holds a
+                       map as one point array plus offsets, and per-object
+                       rectangles (SecondFilter's sections) live the same
+                       way.
   metric-names         Every metric registered through the obs registry
                        (DefineCounter/DefineGauge/DefineHistogram with a
                        string literal) is snake_case with a unit suffix:
@@ -191,6 +199,13 @@ SIM_READS_PLAN_FILES = ("src/core/parallel_join.cc",)
 SIM_READS_PLAN_TOKEN = re.compile(
     r"\b(?:MatchNodeEntriesSoA|MatchNodePages|SecondFilter)\b"
     r"|(?:\.|->)geometry\b"
+)
+
+# flat-objects: per-object heap blocks of geometry in src/.
+FLAT_OBJECTS_DIRS = ("src/",)
+FLAT_OBJECTS_TOKEN = re.compile(
+    r"std::vector\s*<\s*(?:MapObject|Polyline"
+    r"|std::vector\s*<\s*(?:Point|Rect)\s*>)\s*>"
 )
 
 # memory-order-audit: explicit orders need a rationale comment; the
@@ -325,6 +340,9 @@ def lint_file(path, rel, errors):
         if rel in SIM_READS_PLAN_FILES:
             for match in SIM_READS_PLAN_TOKEN.finditer(code):
                 report("sim-reads-plan", match.group(0))
+        if rel.startswith(FLAT_OBJECTS_DIRS):
+            for match in FLAT_OBJECTS_TOKEN.finditer(code):
+                report("flat-objects", match.group(0))
         if rel.startswith(MEMORY_ORDER_DIRS):
             explicit = MEMORY_ORDER_EXPLICIT.search(code)
             if explicit and not has_order_rationale(raw_lines, lineno - 1):
@@ -523,6 +541,29 @@ def self_test():
             "const auto matches = MatchNodeEntriesSoA(nr, ns, options);\n",
             None,
         ),
+        # flat-objects: one heap block per object's geometry in src/ is a
+        # violation…
+        (
+            "src/data/x.cc",
+            "std::vector<MapObject> objects;\n"
+            "objects.push_back(MapObject{id, Polyline(std::move(points))});\n",
+            "flat-objects",
+        ),
+        ("src/join/x.h", "std::vector<std::vector<Rect>> sections_;\n",
+         "flat-objects"),
+        ("src/data/x.h", "std::vector< std::vector<Point> > paths;\n",
+         "flat-objects"),
+        # …while a flat store, comments naming the old layout, and tests
+        # building geometry by hand are clean.
+        (
+            "src/data/x.h",
+            "// Not std::vector<MapObject>: one array and offsets.\n"
+            "std::vector<Point> points_;\n"
+            "std::vector<uint32_t> offsets_;\n"
+            "std::vector<Rect> sections_;\n",
+            None,
+        ),
+        ("tests/x_test.cc", "std::vector<Polyline> lines;\n", None),
         # memory-order-audit: explicit orders need an adjacent "order:"
         # rationale comment…
         (
