@@ -6,6 +6,7 @@
 #include "data/map_object.h"
 #include "rtree/rstar_tree.h"
 #include "rtree/str_loader.h"
+#include "util/status.h"
 
 namespace psj {
 
@@ -23,6 +24,13 @@ RStarTree BuildTreeFromObjects(uint32_t tree_id,
                                    TreeBuildMethod::kInsertion,
                                RTreeOptions options = RTreeOptions(),
                                double str_fill = 0.7);
+
+/// Checks that `tree` indexes exactly the objects of `store`, as a tree and
+/// a store loaded from separate files must: Corruption when the tree's data
+/// entries, counted through its sealed views, are not store.size() in
+/// number, or when a data entry's id is not below store.size(), so that no
+/// join or query can ask the store for an object it lacks.
+Status CheckTreeMatchesStore(const RStarTree& tree, const ObjectStore& store);
 
 }  // namespace psj
 

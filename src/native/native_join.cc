@@ -135,7 +135,6 @@ class NativeJoiner {
           // would drop half the busy time, so busy time sums nanoseconds.
           w.busy_ns += task_ns;
           metrics->Record(id, metric_task_duration_, task_ns / 1000);
-          metrics->Add(id, metric_tasks_, 1);
         }
         pool_.FinishItem();
         continue;
@@ -144,6 +143,7 @@ class NativeJoiner {
         if (metrics != nullptr) {
           // Totals that only exist at drain time; one flush per worker.
           w.stats.busy_us = w.busy_ns / 1000;
+          metrics->Add(id, metric_tasks_, w.stats.tasks_executed);
           metrics->Add(id, metric_node_pairs_,
                        w.stats.node_pairs_processed);
           metrics->Add(id, metric_steals_, w.stats.steals);

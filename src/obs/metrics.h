@@ -85,9 +85,9 @@ struct MetricsSnapshot {
 /// Lifecycle: components Define* their metrics (idempotent by name, so two
 /// services sharing a registry coexist), someone calls Freeze() — which
 /// materializes the per-shard atomic cell blocks — and only then may the
-/// hot-path Add/Set/Record run. Every instrumented component holds a
-/// `MetricsRegistry*` that is null by default: the disabled path is a
-/// single pointer test, bounded <1% by bench/micro_obs (BENCH_obs.json).
+/// hot-path Add/Set/Record run. The service always counts into one; the
+/// native join's `MetricsRegistry*` is null by default, a single pointer
+/// test bounded <1% by bench/micro_obs (BENCH_obs.json).
 ///
 /// Hot path: lock-free. Counters and histogram cells live in per-shard
 /// blocks (callers pass a shard hint — their worker index — reduced modulo

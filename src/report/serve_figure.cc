@@ -64,7 +64,7 @@ FigureDoc RunServeThroughputFigure(const PaperWorkload& workload,
       p50.points.push_back({qps, static_cast<double>(run.p50_latency_us)});
       p95.points.push_back({qps, static_cast<double>(run.p95_latency_us)});
       p99.points.push_back({qps, static_cast<double>(run.p99_latency_us)});
-      batch_avg.points.push_back({qps, run.avg_batch_size});
+      batch_avg.points.push_back({qps, run.stats.AvgBatchSize()});
       double& peak = batching ? peak_batched : peak_single;
       peak = std::max(peak, run.sustained_qps);
     }

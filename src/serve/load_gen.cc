@@ -238,29 +238,19 @@ LoadGenResult RunOpenLoopLoad(const RStarTree& tree_r, const RStarTree& tree_s,
   service.Stop();
   const double elapsed_s = static_cast<double>(elapsed_us()) * 1e-6;
 
-  const ServiceStats stats = service.Stats();
   LoadGenResult result;
+  result.stats = service.Stats();
   result.offered_qps = options.offered_qps;
   result.elapsed_seconds = elapsed_s;
   result.sustained_qps =
-      elapsed_s > 0.0 ? static_cast<double>(stats.completed_ok) / elapsed_s
-                      : 0.0;
-  result.submitted = stats.submitted;
-  result.accepted = stats.accepted;
-  result.rejected_queue_full = stats.rejected_queue_full;
-  result.completed_ok = stats.completed_ok;
-  result.deadline_exceeded = stats.deadline_exceeded;
-  result.avg_batch_size = stats.AvgBatchSize();
-  result.peak_queue_depth = stats.peak_queue_depth;
-  result.descent = stats.descent;
+      elapsed_s > 0.0
+          ? static_cast<double>(result.stats.completed_ok) / elapsed_s
+          : 0.0;
 
   std::sort(latencies.begin(), latencies.end());
   result.p50_latency_us = ExactPercentile(latencies, 0.50);
   result.p95_latency_us = ExactPercentile(latencies, 0.95);
   result.p99_latency_us = ExactPercentile(latencies, 0.99);
-  result.hist_p50_latency_us = stats.LatencyP50();
-  result.hist_p95_latency_us = stats.LatencyP95();
-  result.hist_p99_latency_us = stats.LatencyP99();
 
   if (!samples.empty()) {
     const bool any_join =

@@ -52,8 +52,9 @@ struct LoadGenOptions {
   /// sequential-join filter). 0 disables sampling.
   int verify_every = 0;
 
-  /// Passed through to ServiceConfig: live metrics registry (the caller
-  /// owns it and reads snapshots during or after the run; null disables).
+  /// Passed through to ServiceConfig: the registry the service counts in
+  /// (the caller owns it and reads snapshots during the run; null lets the
+  /// service keep its own).
   obs::MetricsRegistry* metrics = nullptr;
   /// Passed through to ServiceConfig: event sink + per-request sampling
   /// period for wall-clock traces (see ServiceConfig::trace_sample_every).
@@ -69,29 +70,15 @@ struct LoadGenResult {
   double sustained_qps = 0.0;
   double elapsed_seconds = 0.0;
 
-  int64_t submitted = 0;
-  int64_t accepted = 0;
-  int64_t rejected_queue_full = 0;
-  int64_t completed_ok = 0;
-  int64_t deadline_exceeded = 0;
+  /// The service's own accounting after Stop(); its latency histogram's
+  /// quantiles approximate the exact percentiles below to bucket width.
+  ServiceStats stats;
 
   // Exact latency percentiles over every completed query (microseconds),
   // from the generator's full sorted latency vector.
   int64_t p50_latency_us = 0;
   int64_t p95_latency_us = 0;
   int64_t p99_latency_us = 0;
-
-  // The same quantiles as the service itself reports them, read from the
-  // ServiceStats log-bucket latency histogram — what a live snapshot (the
-  // serve --stats-every-ms reporter) would show. Bucket-resolution
-  // approximations of the exact values above.
-  int64_t hist_p50_latency_us = 0;
-  int64_t hist_p95_latency_us = 0;
-  int64_t hist_p99_latency_us = 0;
-
-  double avg_batch_size = 0.0;
-  int64_t peak_queue_depth = 0;
-  DescentStats descent;
 
   int64_t verified_queries = 0;  // Oracle-checked samples.
   int64_t verify_failures = 0;   // Samples whose result mismatched.

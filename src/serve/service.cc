@@ -1,7 +1,9 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "util/check.h"
@@ -59,7 +61,13 @@ SpatialQueryService::SpatialQueryService(const RStarTree* tree_r,
     : tree_r_(tree_r),
       tree_s_(tree_s),
       config_(std::move(config)),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      owned_registry_(config_.metrics == nullptr
+                          ? std::make_unique<obs::MetricsRegistry>(
+                                config_.num_threads + 1)
+                          : nullptr),
+      registry_(owned_registry_ != nullptr ? owned_registry_.get()
+                                           : config_.metrics) {
   PSJ_CHECK(tree_r_ != nullptr && tree_s_ != nullptr);
   // The service queries the sealed images; sealed() aborts on an unsealed
   // tree here rather than in a worker.
@@ -68,28 +76,26 @@ SpatialQueryService::SpatialQueryService(const RStarTree* tree_r,
   PSJ_CHECK_GT(config_.num_threads, 0);
   PSJ_CHECK_GT(config_.max_batch, 0u);
   PSJ_CHECK_GE(config_.trace_sample_every, 0);
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.metrics;
-    metrics_.submitted = m.DefineCounter("serve_submitted_count");
-    metrics_.accepted = m.DefineCounter("serve_accepted_count");
-    metrics_.rejected_queue_full =
-        m.DefineCounter("serve_rejected_queue_full_count");
-    metrics_.rejected_stopped =
-        m.DefineCounter("serve_rejected_stopped_count");
-    metrics_.rejected_invalid =
-        m.DefineCounter("serve_rejected_invalid_count");
-    metrics_.completed_ok = m.DefineCounter("serve_completed_ok_count");
-    metrics_.deadline_miss = m.DefineCounter("serve_deadline_miss_count");
-    metrics_.batches = m.DefineCounter("serve_batches_count");
-    metrics_.batched_queries =
-        m.DefineCounter("serve_batched_queries_count");
-    metrics_.nodes_visited = m.DefineCounter("serve_nodes_visited_count");
-    metrics_.entry_tests = m.DefineCounter("serve_entry_tests_count");
-    metrics_.queue_depth = m.DefineGauge("serve_queue_depth_count");
-    metrics_.latency_us = m.DefineHistogram("serve_latency_us");
-    metrics_.queue_wait_us = m.DefineHistogram("serve_queue_wait_us");
-    metrics_.batch_size = m.DefineHistogram("serve_batch_size_count");
-  }
+  obs::MetricsRegistry& m = *registry_;
+  metrics_.submitted = m.DefineCounter("serve_submitted_count");
+  metrics_.accepted = m.DefineCounter("serve_accepted_count");
+  metrics_.rejected_queue_full =
+      m.DefineCounter("serve_rejected_queue_full_count");
+  metrics_.rejected_stopped = m.DefineCounter("serve_rejected_stopped_count");
+  metrics_.rejected_invalid = m.DefineCounter("serve_rejected_invalid_count");
+  metrics_.completed_ok = m.DefineCounter("serve_completed_ok_count");
+  metrics_.deadline_miss = m.DefineCounter("serve_deadline_miss_count");
+  metrics_.batches = m.DefineCounter("serve_batches_count");
+  metrics_.batched_queries = m.DefineCounter("serve_batched_queries_count");
+  metrics_.nodes_visited = m.DefineCounter("serve_nodes_visited_count");
+  metrics_.node_scans = m.DefineCounter("serve_node_scans_count");
+  metrics_.entry_tests = m.DefineCounter("serve_entry_tests_count");
+  metrics_.pairs_grouped = m.DefineCounter("serve_pairs_grouped_count");
+  metrics_.queue_depth = m.DefineGauge("serve_queue_depth_count");
+  metrics_.peak_queue_depth = m.DefineGauge("serve_peak_queue_depth_count");
+  metrics_.latency_us = m.DefineHistogram("serve_latency_us");
+  metrics_.queue_wait_us = m.DefineHistogram("serve_queue_wait_us");
+  metrics_.batch_size = m.DefineHistogram("serve_batch_size_count");
 }
 
 SpatialQueryService::~SpatialQueryService() { Stop(); }
@@ -110,14 +116,12 @@ void SpatialQueryService::Start() {
     return;
   }
   started_ = true;
-  if (config_.metrics != nullptr) {
-    // Opens the lock-free hot path; metric definitions happened in the
-    // constructor, so the construct-everything-then-start-anything rule
-    // of MetricsRegistry holds for services sharing one registry.
-    config_.metrics->Freeze();
-  }
+  // Opens the lock-free hot path; metric definitions happened in the
+  // constructor, so the construct-everything-then-start-anything rule of
+  // MetricsRegistry holds for a registry the caller also defines into.
+  registry_->Freeze();
   if (config_.trace != nullptr) {
-    // Safe without stats_mu_: no worker exists yet, so nothing else can
+    // Safe without trace_mu_: no worker exists yet, so nothing else can
     // be writing the sink.
     for (int w = 0; w < config_.num_threads; ++w) {
       config_.trace->SetTrackName(w, "serve worker " + std::to_string(w));
@@ -173,9 +177,15 @@ void SpatialQueryService::Stop() {
 
 Submission SpatialQueryService::Submit(const QueryDescriptor& descriptor,
                                        Callback callback) {
+  obs::MetricsRegistry& m = *registry_;
+  if (!m.frozen()) {
+    // Submissions are legal before Start(), so the first one freezes the
+    // registry, before taking mu_, under which the gauges are set.
+    // Freeze() is idempotent: Start() repeating it is harmless.
+    m.Freeze();
+  }
   Submission submission;
   RejectReason reason = RejectReason::kNone;
-  size_t depth = 0;
   if (!DescriptorValid(descriptor)) {
     reason = RejectReason::kInvalid;
   } else {
@@ -205,49 +215,30 @@ Submission SpatialQueryService::Submit(const QueryDescriptor& descriptor,
       submission.accepted = true;
       submission.query_id = pending.id;
       queue_.push_back(std::move(pending));
-      depth = queue_.size();
+      const auto depth = static_cast<int64_t>(queue_.size());
+      m.Set(metrics_.queue_depth, depth);
+      if (depth > peak_queue_depth_) {
+        peak_queue_depth_ = depth;
+        m.Set(metrics_.peak_queue_depth, depth);
+      }
     }
   }
   submission.reason = reason;
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.metrics;
-    if (!m.frozen()) {
-      // Submissions are legal before Start(); the first one closes the
-      // definition phase (Freeze is idempotent, so Start() doing it again
-      // is harmless).
-      m.Freeze();
-    }
-    const int shard = SubmitShard();
-    m.Add(shard, metrics_.submitted, 1);
-    switch (reason) {
-      case RejectReason::kNone:
-        m.Add(shard, metrics_.accepted, 1);
-        m.Set(metrics_.queue_depth, static_cast<int64_t>(depth));
-        break;
-      case RejectReason::kQueueFull:
-        m.Add(shard, metrics_.rejected_queue_full, 1);
-        break;
-      case RejectReason::kStopped:
-        m.Add(shard, metrics_.rejected_stopped, 1);
-        break;
-      case RejectReason::kInvalid:
-        m.Add(shard, metrics_.rejected_invalid, 1);
-        break;
-    }
-  }
-  {
-    util::MutexLock lock(&stats_mu_);
-    ++stats_.submitted;
-    switch (reason) {
-      case RejectReason::kNone:
-        ++stats_.accepted;
-        stats_.peak_queue_depth = std::max(stats_.peak_queue_depth,
-                                           static_cast<int64_t>(depth));
-        break;
-      case RejectReason::kQueueFull: ++stats_.rejected_queue_full; break;
-      case RejectReason::kStopped: ++stats_.rejected_stopped; break;
-      case RejectReason::kInvalid: ++stats_.rejected_invalid; break;
-    }
+  const int shard = SubmitShard();
+  m.Add(shard, metrics_.submitted, 1);
+  switch (reason) {
+    case RejectReason::kNone:
+      m.Add(shard, metrics_.accepted, 1);
+      break;
+    case RejectReason::kQueueFull:
+      m.Add(shard, metrics_.rejected_queue_full, 1);
+      break;
+    case RejectReason::kStopped:
+      m.Add(shard, metrics_.rejected_stopped, 1);
+      break;
+    case RejectReason::kInvalid:
+      m.Add(shard, metrics_.rejected_invalid, 1);
+      break;
   }
   if (submission.accepted) {
     cv_.NotifyOne();
@@ -275,8 +266,33 @@ QueryResult SpatialQueryService::Execute(const QueryDescriptor& descriptor) {
 }
 
 ServiceStats SpatialQueryService::Stats() const {
-  util::MutexLock lock(&stats_mu_);
-  return stats_;
+  const obs::MetricsSnapshot snapshot = registry_->Snapshot();
+  const auto counter = [&snapshot](std::string_view name) {
+    return snapshot.FindCounter(name)->value;
+  };
+  const auto histogram = [&snapshot](std::string_view name) {
+    return snapshot.FindHistogram(name)->histogram;
+  };
+  ServiceStats stats;
+  stats.submitted = counter("serve_submitted_count");
+  stats.accepted = counter("serve_accepted_count");
+  stats.rejected_queue_full = counter("serve_rejected_queue_full_count");
+  stats.rejected_stopped = counter("serve_rejected_stopped_count");
+  stats.rejected_invalid = counter("serve_rejected_invalid_count");
+  stats.completed_ok = counter("serve_completed_ok_count");
+  stats.deadline_exceeded = counter("serve_deadline_miss_count");
+  stats.batches_executed = counter("serve_batches_count");
+  stats.batched_queries = counter("serve_batched_queries_count");
+  stats.peak_queue_depth =
+      snapshot.FindGauge("serve_peak_queue_depth_count")->value;
+  stats.descent.nodes_visited = counter("serve_nodes_visited_count");
+  stats.descent.node_scans = counter("serve_node_scans_count");
+  stats.descent.entry_tests = counter("serve_entry_tests_count");
+  stats.descent.pairs_grouped = counter("serve_pairs_grouped_count");
+  stats.latency_us = histogram("serve_latency_us");
+  stats.queue_wait_us = histogram("serve_queue_wait_us");
+  stats.batch_size = histogram("serve_batch_size_count");
+  return stats;
 }
 
 void SpatialQueryService::WorkerLoop(int worker) {
@@ -324,10 +340,8 @@ bool SpatialQueryService::NextBatch(std::vector<Pending>* batch) {
       batch->push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    if (config_.metrics != nullptr && config_.metrics->frozen()) {
-      config_.metrics->Set(metrics_.queue_depth,
-                           static_cast<int64_t>(queue_.size()));
-    }
+    registry_->Set(metrics_.queue_depth,
+                   static_cast<int64_t>(queue_.size()));
     return true;
   }
 }
@@ -407,61 +421,44 @@ void SpatialQueryService::RunBatch(int worker, std::vector<Pending> batch) {
     (result.complete ? ok : expired) += 1;
   }
 
-  {
-    util::MutexLock lock(&stats_mu_);
-    ++stats_.batches_executed;
-    stats_.batch_size.Record(static_cast<trace::TraceTime>(n));
-    if (n > 1) {
-      stats_.batched_queries += static_cast<int64_t>(n);
-    }
-    stats_.completed_ok += ok;
-    stats_.deadline_exceeded += expired;
-    stats_.descent += descent_total;
-    for (size_t i = 0; i < n; ++i) {
-      stats_.latency_us.Record(results[i].latency_micros);
-      stats_.queue_wait_us.Record(results[i].queue_wait_micros);
-    }
-    if (config_.trace != nullptr) {
-      config_.trace->Span(worker, trace::Category::kTask, "serve batch",
-                          start_us, end_us, static_cast<int64_t>(n),
-                          expired);
-      // Sampled per-request spans: the request span covers the whole
-      // lifetime (admission -> completion) with its queue wait nested
-      // inside, on the worker's request track — so a shared batch's spans
-      // are attributed to the individual member queries that rode it.
-      for (size_t i = 0; i < n; ++i) {
-        if (!batch[i].sampled) {
-          continue;
-        }
-        const int32_t track = RequestTrack(worker);
-        const int64_t id = static_cast<int64_t>(batch[i].id);
-        config_.trace->Span(track, trace::Category::kRequest, "request",
-                            batch[i].admitted_us, end_us, id,
-                            static_cast<int64_t>(n));
-        if (start_us > batch[i].admitted_us) {
-          config_.trace->Span(track, trace::Category::kQueueWait,
-                              "queue wait", batch[i].admitted_us, start_us,
-                              id, 0);
-        }
-      }
-    }
+  obs::MetricsRegistry& m = *registry_;
+  m.Add(worker, metrics_.batches, 1);
+  m.Record(worker, metrics_.batch_size, static_cast<int64_t>(n));
+  if (n > 1) {
+    m.Add(worker, metrics_.batched_queries, static_cast<int64_t>(n));
+  }
+  m.Add(worker, metrics_.completed_ok, ok);
+  m.Add(worker, metrics_.deadline_miss, expired);
+  m.Add(worker, metrics_.nodes_visited, descent_total.nodes_visited);
+  m.Add(worker, metrics_.node_scans, descent_total.node_scans);
+  m.Add(worker, metrics_.entry_tests, descent_total.entry_tests);
+  m.Add(worker, metrics_.pairs_grouped, descent_total.pairs_grouped);
+  for (size_t i = 0; i < n; ++i) {
+    m.Record(worker, metrics_.latency_us, results[i].latency_micros);
+    m.Record(worker, metrics_.queue_wait_us, results[i].queue_wait_micros);
   }
 
-  if (config_.metrics != nullptr && config_.metrics->frozen()) {
-    obs::MetricsRegistry& m = *config_.metrics;
-    m.Add(worker, metrics_.batches, 1);
-    m.Record(worker, metrics_.batch_size, static_cast<int64_t>(n));
-    if (n > 1) {
-      m.Add(worker, metrics_.batched_queries, static_cast<int64_t>(n));
-    }
-    m.Add(worker, metrics_.completed_ok, ok);
-    m.Add(worker, metrics_.deadline_miss, expired);
-    m.Add(worker, metrics_.nodes_visited, descent_total.nodes_visited);
-    m.Add(worker, metrics_.entry_tests, descent_total.entry_tests);
+  if (config_.trace != nullptr) {
+    util::MutexLock lock(&trace_mu_);
+    config_.trace->Span(worker, trace::Category::kTask, "serve batch",
+                        start_us, end_us, static_cast<int64_t>(n), expired);
+    // Sampled per-request spans: the request span covers the whole
+    // lifetime (admission -> completion) with its queue wait nested
+    // inside, on the worker's request track — so a shared batch's spans
+    // are attributed to the individual member queries that rode it.
     for (size_t i = 0; i < n; ++i) {
-      m.Record(worker, metrics_.latency_us, results[i].latency_micros);
-      m.Record(worker, metrics_.queue_wait_us,
-               results[i].queue_wait_micros);
+      if (!batch[i].sampled) {
+        continue;
+      }
+      const int32_t track = RequestTrack(worker);
+      const int64_t id = static_cast<int64_t>(batch[i].id);
+      config_.trace->Span(track, trace::Category::kRequest, "request",
+                          batch[i].admitted_us, end_us, id,
+                          static_cast<int64_t>(n));
+      if (start_us > batch[i].admitted_us) {
+        config_.trace->Span(track, trace::Category::kQueueWait, "queue wait",
+                            batch[i].admitted_us, start_us, id, 0);
+      }
     }
   }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -58,7 +59,8 @@ struct ServiceConfig {
   /// Optional event sink: one kTask span per executed batch on track
   /// `worker`, wall-clock microseconds since Start(). Unlike the simulator
   /// sinks this one is fed from concurrent workers, so the service
-  /// serializes writes behind its stats mutex. Null (default) disables.
+  /// serializes writes behind a mutex that only traced runs take. Null
+  /// (default) disables.
   trace::TraceSink* trace = nullptr;
 
   /// Sampled per-request tracing: with `trace` set and N > 0, every Nth
@@ -69,13 +71,13 @@ struct ServiceConfig {
   /// every request.
   int64_t trace_sample_every = 0;
 
-  /// Optional live metrics: when set, the service defines its
-  /// `serve_*` counters/gauges/histograms at construction and feeds them
-  /// lock-free from the hot path (worker w writes shard w; the submit path
-  /// writes shard num_threads — registries sized num_threads + 1 shards
-  /// give every writer its own block). The registry must outlive the
-  /// service; Start() freezes it. Null (default) disables at the cost of
-  /// one pointer test per site (bounded <1% by bench/micro_obs).
+  /// The registry every serving counter lives in: the service defines its
+  /// `serve_*` metrics here at construction, feeds them lock-free (worker w
+  /// writes shard w, the submit path shard num_threads), and Stats()
+  /// decodes them. It must outlive the service; the first Submit() or
+  /// Start() freezes it. Null (default): the service owns one of
+  /// num_threads + 1 shards. Two services on one registry each report
+  /// their sum, so give every service its own.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Test hook: overrides the wall clock used for deadlines and latency
@@ -93,10 +95,10 @@ struct Submission {
   RejectReason reason = RejectReason::kNone;
 };
 
-/// Monotone service-wide counters plus latency/batch histograms
-/// (trace::Histogram, the power-of-two-bucket machinery every simulated
-/// component reports through). A snapshot is internally consistent: it is
-/// taken under the stats lock.
+/// Monotone service-wide counters plus latency/batch histograms, decoded
+/// from one Snapshot() of the service's registry. Exact once Stop() has
+/// returned; mid-run each field is exact, and fields may skew against each
+/// other by in-flight updates (see obs::MetricsRegistry).
 struct ServiceStats {
   int64_t submitted = 0;            // All Submit() calls.
   int64_t accepted = 0;
@@ -119,19 +121,6 @@ struct ServiceStats {
                ? 0.0
                : static_cast<double>(batch_size.sum()) /
                      static_cast<double>(batches_executed);
-  }
-
-  /// Latency quantiles straight from the log-bucket histogram — available
-  /// live (mid-run snapshots) where the load generator's exact sorted-
-  /// vector percentiles only exist after the run. 0 before any completion.
-  trace::TraceTime LatencyP50() const {
-    return latency_us.ValueAtQuantile(0.50);
-  }
-  trace::TraceTime LatencyP95() const {
-    return latency_us.ValueAtQuantile(0.95);
-  }
-  trace::TraceTime LatencyP99() const {
-    return latency_us.ValueAtQuantile(0.99);
   }
 };
 
@@ -173,6 +162,7 @@ class SpatialQueryService {
   /// PSJ_CHECK-fails if the submission is rejected.
   QueryResult Execute(const QueryDescriptor& descriptor);
 
+  /// Decodes one registry Snapshot(); see ServiceStats for exactness.
   ServiceStats Stats() const;
 
   int num_threads() const { return config_.num_threads; }
@@ -200,13 +190,14 @@ class SpatialQueryService {
     bool sampled = false;      // Carries a per-request trace span.
   };
 
-  /// Registered handles into config_.metrics; all invalid when metrics are
-  /// off. Defined once in the constructor so the hot path only indexes.
+  /// Registered handles into registry_. Defined once in the constructor so
+  /// the hot path only indexes.
   struct Metrics {
     obs::CounterId submitted, accepted, rejected_queue_full,
         rejected_stopped, rejected_invalid, completed_ok, deadline_miss,
-        batches, batched_queries, nodes_visited, entry_tests;
-    obs::GaugeId queue_depth;
+        batches, batched_queries, nodes_visited, node_scans, entry_tests,
+        pairs_grouped;
+    obs::GaugeId queue_depth, peak_queue_depth;
     obs::HistogramId latency_us, queue_wait_us, batch_size;
   };
 
@@ -223,28 +214,31 @@ class SpatialQueryService {
 
   /// Executes one admission batch and delivers its callbacks.
   void RunBatch(int worker, std::vector<Pending> batch)
-      PSJ_EXCLUDES(mu_, stats_mu_);
+      PSJ_EXCLUDES(mu_, trace_mu_);
 
   const RStarTree* const tree_r_;
   const RStarTree* const tree_s_;
   const ServiceConfig config_;
   const std::chrono::steady_clock::time_point epoch_;
+  const std::unique_ptr<obs::MetricsRegistry> owned_registry_;
+  obs::MetricsRegistry* const registry_;  // config_.metrics or the owned.
   Metrics metrics_;  // Handles only; written once in the constructor.
 
-  /// Admission state. Lock order: mu_ before stats_mu_ is never needed —
-  /// no path holds both; the annotations keep it that way.
+  /// Admission state. No path holds mu_ and trace_mu_ at once; the
+  /// annotations keep it that way.
   mutable util::Mutex mu_;
   util::CondVar cv_;
   std::deque<Pending> queue_ PSJ_GUARDED_BY(mu_);
   bool stopping_ PSJ_GUARDED_BY(mu_) = false;
   uint64_t next_id_ PSJ_GUARDED_BY(mu_) = 1;
+  /// Deepest queue any Submit() left: the peak gauge only rises with it.
+  int64_t peak_queue_depth_ PSJ_GUARDED_BY(mu_) = 0;
   /// Worker threads: spawned by Start() under mu_, moved out and joined by
   /// the single Stop() winner (elected by the stopping_ flip under mu_).
   std::vector<std::thread> workers_ PSJ_GUARDED_BY(mu_);
   bool started_ PSJ_GUARDED_BY(mu_) = false;
 
-  mutable util::Mutex stats_mu_;
-  ServiceStats stats_ PSJ_GUARDED_BY(stats_mu_);
+  util::Mutex trace_mu_;  // Serializes writes to config_.trace.
 };
 
 }  // namespace psj::serve

@@ -165,25 +165,6 @@ int Histogram::HighestBucket() const {
 // TraceSink registries
 // ---------------------------------------------------------------------------
 
-size_t TraceSink::CounterIndex(std::string_view name) {
-  const auto it = counter_index_.find(std::string(name));
-  if (it != counter_index_.end()) {
-    return it->second;
-  }
-  const size_t index = counters_.size();
-  counters_.emplace_back(std::string(name), 0);
-  counter_index_.emplace(std::string(name), index);
-  return index;
-}
-
-void TraceSink::AddCounter(std::string_view name, int64_t delta) {
-  counters_[CounterIndex(name)].second += delta;
-}
-
-void TraceSink::SetCounter(std::string_view name, int64_t value) {
-  counters_[CounterIndex(name)].second = value;
-}
-
 Histogram* TraceSink::histogram(std::string_view name) {
   const auto it = histogram_index_.find(std::string(name));
   if (it != histogram_index_.end()) {

@@ -107,8 +107,8 @@ class Histogram {
   TraceTime max_ = 0;
 };
 
-/// \brief Event collector of one simulated run: per-track spans/instants, a
-/// named counter registry, and named fixed-bucket histograms.
+/// \brief Event collector of one simulated run: per-track spans/instants
+/// and named fixed-bucket histograms.
 ///
 /// Not thread safe by design: one sink belongs to exactly one simulation,
 /// whose scheduler runs one process at a time on one thread's fibers, so
@@ -142,10 +142,6 @@ class TraceSink {
     events_.push_back(TraceEvent{ts, ts, track, category, name, arg0, arg1});
   }
 
-  /// Named counters, created on first use in registration order.
-  void AddCounter(std::string_view name, int64_t delta);
-  void SetCounter(std::string_view name, int64_t value);
-
   /// Named histogram, created on first use. The returned pointer is stable
   /// for the sink's lifetime — instrumented components look it up once and
   /// cache it.
@@ -157,10 +153,6 @@ class TraceSink {
   // ---- Introspection (exporters, analyzers, tests) ----
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  /// Counters in registration order.
-  const std::vector<std::pair<std::string, int64_t>>& counters() const {
-    return counters_;
-  }
   /// Histogram names in registration order.
   const std::vector<std::string>& histogram_names() const {
     return histogram_names_;
@@ -172,11 +164,7 @@ class TraceSink {
   std::vector<int32_t> Tracks() const;
 
  private:
-  size_t CounterIndex(std::string_view name);
-
   std::vector<TraceEvent> events_;
-  std::vector<std::pair<std::string, int64_t>> counters_;
-  std::unordered_map<std::string, size_t> counter_index_;
   std::vector<std::string> histogram_names_;
   std::vector<std::unique_ptr<Histogram>> histograms_;
   std::unordered_map<std::string, size_t> histogram_index_;

@@ -444,5 +444,45 @@ TEST(MapBuilderTest, StrTreeIsValidAndComplete) {
   EXPECT_EQ(tree.num_data_entries(), 2'000);
 }
 
+TEST(MapBuilderTest, TreeMatchesTheStoreItWasBuiltFrom) {
+  const ObjectStore store = GenerateUniformSegments(5, 2'000, 0.005);
+  EXPECT_TRUE(CheckTreeMatchesStore(
+                  BuildTreeFromObjects(1, store.objects()), store)
+                  .ok());
+  EXPECT_TRUE(CheckTreeMatchesStore(
+                  BuildTreeFromObjects(1, store.objects(),
+                                       TreeBuildMethod::kStr),
+                  store)
+                  .ok());
+}
+
+TEST(MapBuilderTest, TreeOfALargerStoreIsCorruption) {
+  // Two generate runs under one prefix: a 4,000-object tree beside a
+  // 2,000-object store names ids the store lacks.
+  const ObjectStore large = GenerateUniformSegments(5, 4'000, 0.005);
+  const ObjectStore small = GenerateUniformSegments(6, 2'000, 0.005);
+  const RStarTree tree = BuildTreeFromObjects(1, large.objects());
+  EXPECT_TRUE(CheckTreeMatchesStore(tree, small).IsCorruption());
+  // The other way round every id is in range, but half the store has no
+  // entry.
+  EXPECT_TRUE(CheckTreeMatchesStore(BuildTreeFromObjects(1, small.objects()),
+                                    large)
+                  .IsCorruption());
+}
+
+TEST(MapBuilderTest, EntryIdPastTheStoreIsCorruption) {
+  // As many entries as objects, but one id past the end.
+  const ObjectStore store = GenerateUniformSegments(5, 200, 0.005);
+  RStarTree tree(1);
+  for (const MapObject& object : store.objects()) {
+    tree.Insert(object.Mbr(), object.id == 199 ? 200 : object.id);
+  }
+  tree.Seal();
+  const Status status = CheckTreeMatchesStore(tree, store);
+  EXPECT_TRUE(status.IsCorruption());
+  EXPECT_NE(status.ToString().find("object 200"), std::string::npos)
+      << status.ToString();
+}
+
 }  // namespace
 }  // namespace psj

@@ -5,8 +5,9 @@
 // helpers survive their edge cases (empty, single-sample, q = 1.0,
 // duplicate-heavy), exporters emit parseable Prometheus text and JSON with
 // a stable empty shape, the periodic reporter actually ticks and rewrites
-// its files, and the serve/native engines report registry totals that
-// match their own internal statistics.
+// its files, the service's registry-decoded counters obey their
+// conservation identities under racing submitters and Stop(), and the
+// native join's registry totals match its per-worker statistics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -502,7 +503,7 @@ TEST(ReporterTest, PeriodicReporterTicksAndRewritesFiles) {
   std::remove(json_path.c_str());
 }
 
-// ---- Serve integration: registry totals match ServiceStats ----
+// ---- Serve integration: the service's counters obey their identities ----
 
 struct ObsServeFixture {
   ObjectStore store_r;
@@ -517,60 +518,93 @@ struct ObsServeFixture {
         tree_s(BuildTreeFromObjects(2, store_s.objects())) {}
 };
 
-TEST(ServeObsTest, RegistryCountersMatchServiceStats) {
+TEST(ServeObsTest, CountersObeyConservationIdentities) {
   const ObsServeFixture fixture(400, 300, 91);
   ServiceConfig config;
-  config.now_micros = [] { return int64_t{0}; };  // Skip the batch window.
+  config.num_threads = 2;
+  config.queue_capacity = 16;
   MetricsRegistry registry(config.num_threads + 1);
   config.metrics = &registry;
   SpatialQueryService service(&fixture.tree_r, &fixture.tree_s, config);
 
-  // Pre-Start submissions exercise the lazy Freeze() on the submit path.
-  std::atomic<int> callbacks{0};
-  int accepted = 0;
-  for (int i = 0; i < 24; ++i) {
-    const double base = 0.2 + 0.02 * i;
-    if (service
-            .Submit(QueryDescriptor::Window(
-                        Rect(base, base, base + 0.1, base + 0.1)),
-                    [&callbacks](QueryResult) { callbacks.fetch_add(1); })
-            .accepted) {
-      ++accepted;
+  // Two submitters run until Stop() turns them away. Before Start() they
+  // fill the queue and see it full; every 7th descriptor is invalid and
+  // every 5th window has a zero deadline, so every outcome occurs.
+  std::atomic<int64_t> callbacks{0};
+  std::atomic<int64_t> calls{0};
+  std::atomic<int64_t> accepted{0};
+  std::atomic<int64_t> queue_full{0};
+  std::atomic<int64_t> stopped{0};
+  std::atomic<int64_t> invalid{0};
+  const auto submit_until_stopped = [&](int first_index) {
+    for (int i = first_index;; i += 2) {
+      QueryDescriptor query;
+      if (i % 7 == 0) {
+        query = QueryDescriptor::Knn(Point{0.5, 0.5}, 0);
+      } else if (i % 11 == 0) {
+        query = QueryDescriptor::Knn(Point{0.3, 0.6}, 4);
+      } else {
+        const double base = 0.05 * (i % 17);
+        query = QueryDescriptor::Window(
+            Rect(base, base, base + 0.1, base + 0.1));
+        query.deadline_micros = i % 5 == 0 ? 0 : -1;
+      }
+      const serve::Submission submission = service.Submit(
+          query, [&callbacks](QueryResult) { callbacks.fetch_add(1); });
+      calls.fetch_add(1);
+      switch (submission.reason) {
+        case serve::RejectReason::kNone: accepted.fetch_add(1); break;
+        case serve::RejectReason::kQueueFull: queue_full.fetch_add(1); break;
+        case serve::RejectReason::kInvalid: invalid.fetch_add(1); break;
+        case serve::RejectReason::kStopped: stopped.fetch_add(1); return;
+      }
     }
+  };
+  std::thread first(submit_until_stopped, 0);
+  std::thread second(submit_until_stopped, 1);
+  while (queue_full.load() == 0) {
+    std::this_thread::yield();
   }
-  EXPECT_TRUE(registry.frozen());
+  EXPECT_TRUE(registry.frozen()) << "the first Submit() freezes";
   service.Start();
-  service.Stop();
-  EXPECT_EQ(callbacks.load(), accepted);
+  while (calls.load() < 2'000) {
+    std::this_thread::yield();
+  }
+  service.Stop();  // Races both submitters.
+  first.join();
+  second.join();
 
-  const auto stats = service.Stats();
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.FindCounter("serve_submitted_count")->value,
-            stats.submitted);
-  EXPECT_EQ(snapshot.FindCounter("serve_accepted_count")->value,
-            stats.accepted);
-  EXPECT_EQ(snapshot.FindCounter("serve_completed_ok_count")->value,
-            stats.completed_ok);
-  EXPECT_EQ(snapshot.FindCounter("serve_deadline_miss_count")->value,
-            stats.deadline_exceeded);
-  EXPECT_EQ(snapshot.FindCounter("serve_batches_count")->value,
-            stats.batches_executed);
-  EXPECT_EQ(snapshot.FindCounter("serve_batched_queries_count")->value,
-            stats.batched_queries);
-  EXPECT_EQ(snapshot.FindCounter("serve_nodes_visited_count")->value,
-            stats.descent.nodes_visited);
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, calls.load());
+  EXPECT_EQ(stats.accepted, accepted.load());
+  EXPECT_EQ(stats.rejected_queue_full, queue_full.load());
+  EXPECT_EQ(stats.rejected_stopped, stopped.load());
+  EXPECT_EQ(stats.rejected_invalid, invalid.load());
+  EXPECT_EQ(stats.rejected_stopped, 2);
+  EXPECT_GT(stats.rejected_invalid, 0);
+  EXPECT_EQ(stats.submitted, stats.accepted + stats.rejected_queue_full +
+                                 stats.rejected_stopped +
+                                 stats.rejected_invalid);
 
-  const Histogram& latency =
-      snapshot.FindHistogram("serve_latency_us")->histogram;
-  EXPECT_EQ(latency.total_count(), stats.latency_us.total_count());
-  EXPECT_EQ(latency.sum(), stats.latency_us.sum());
-  EXPECT_EQ(latency.ValueAtQuantile(0.5), stats.LatencyP50());
-  EXPECT_EQ(snapshot.FindHistogram("serve_batch_size_count")
-                ->histogram.total_count(),
-            stats.batches_executed);
+  EXPECT_GT(stats.deadline_exceeded, 0);
+  EXPECT_EQ(stats.accepted, stats.completed_ok + stats.deadline_exceeded);
+  EXPECT_EQ(stats.accepted, callbacks.load())
+      << "exactly one callback per accepted query";
 
+  EXPECT_EQ(stats.latency_us.total_count(), stats.accepted);
+  EXPECT_EQ(stats.queue_wait_us.total_count(), stats.accepted);
+  EXPECT_EQ(stats.batch_size.sum(), stats.accepted);
+  EXPECT_EQ(stats.batch_size.total_count(), stats.batches_executed);
+  EXPECT_GT(stats.descent.node_scans, 0);
+  EXPECT_GT(stats.descent.pairs_grouped, 0);
+
+  // A queue-full rejection needs a full queue, so the peak reached the
+  // capacity and no further.
+  EXPECT_EQ(stats.peak_queue_depth,
+            static_cast<int64_t>(config.queue_capacity));
   // Everything drained: the queue-depth gauge reads zero at the end.
-  EXPECT_EQ(snapshot.FindGauge("serve_queue_depth_count")->value, 0);
+  EXPECT_EQ(registry.Snapshot().FindGauge("serve_queue_depth_count")->value,
+            0);
 }
 
 TEST(ServeObsTest, SampledRequestSpansLandOnRequestTracks) {

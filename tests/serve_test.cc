@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -333,12 +335,20 @@ TEST(ServiceTest, QueueFullRejectsWithReason) {
   EXPECT_EQ(third.reason, RejectReason::kQueueFull);
 
   service.Start();
+  while (callbacks.load() < 2) {
+    std::this_thread::yield();
+  }
+  // The queue is empty again, so this admission leaves a depth of 1; the
+  // peak keeps the 2 it reached before.
+  EXPECT_EQ(service.Execute(QueryDescriptor::Window(window)).status,
+            QueryStatus::kOk);
   service.Stop();
   EXPECT_EQ(callbacks.load(), 2) << "exactly one callback per accepted query";
   const auto stats = service.Stats();
   EXPECT_EQ(stats.rejected_queue_full, 1);
-  EXPECT_EQ(stats.accepted, 2);
-  EXPECT_EQ(stats.completed_ok, 2);
+  EXPECT_EQ(stats.accepted, 3);
+  EXPECT_EQ(stats.completed_ok, 3);
+  EXPECT_EQ(stats.peak_queue_depth, 2);
 }
 
 TEST(ServiceTest, StoppedAndInvalidRejections) {
@@ -402,6 +412,32 @@ TEST(ServiceTest, FakeClockMakesDeadlinesDeterministic) {
   expires.deadline_micros = 0;
   EXPECT_EQ(service.Execute(expires).status,
             QueryStatus::kDeadlineExceeded);
+}
+
+TEST(ServiceTest, BackwardsClockDeliversEveryCallback) {
+  const ServeFixture fixture(400, 400, 40);
+  // Each read is 10 µs earlier than the last, so every queue wait and
+  // latency comes out negative; the accounting must not stop delivery.
+  ServiceConfig config;
+  auto now = std::make_shared<std::atomic<int64_t>>(1'000'000);
+  config.now_micros = [now] { return now->fetch_sub(10); };
+  SpatialQueryService service(&fixture.tree_r, &fixture.tree_s, config);
+  std::atomic<int> callbacks{0};
+  for (int i = 0; i < 8; ++i) {
+    const double base = 0.1 * i;
+    ASSERT_TRUE(service
+                    .Submit(QueryDescriptor::Window(
+                                Rect(base, base, base + 0.1, base + 0.1)),
+                            [&callbacks](QueryResult) {
+                              callbacks.fetch_add(1);
+                            })
+                    .accepted);
+  }
+  service.Start();
+  service.Stop();
+  EXPECT_EQ(callbacks.load(), 8);
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.completed_ok + stats.deadline_exceeded, 8);
 }
 
 TEST(ServiceTest, ConcurrentSubmissionDrainsCompletely) {
@@ -471,10 +507,11 @@ TEST(LoadGenTest, SmokeRunVerifiesAgainstOracle) {
   options.seed = 7;
   const auto result =
       RunOpenLoopLoad(fixture.tree_r, fixture.tree_s, options);
-  EXPECT_GT(result.completed_ok, 0);
+  EXPECT_GT(result.stats.completed_ok, 0);
   EXPECT_GT(result.verified_queries, 0);
   EXPECT_EQ(result.verify_failures, 0);
-  EXPECT_EQ(result.completed_ok + result.deadline_exceeded, result.accepted);
+  EXPECT_EQ(result.stats.completed_ok + result.stats.deadline_exceeded,
+            result.stats.accepted);
 }
 
 }  // namespace

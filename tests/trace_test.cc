@@ -258,21 +258,6 @@ TEST(TraceSinkTest, RecordsSpansAndInstants) {
   EXPECT_EQ(sink.events()[1].start, sink.events()[1].end);
 }
 
-TEST(TraceSinkTest, CountersKeepRegistrationOrder) {
-  trace::TraceSink sink;
-  sink.AddCounter("b", 2);
-  sink.AddCounter("a", 1);
-  sink.AddCounter("b", 3);
-  sink.SetCounter("c", 9);
-  ASSERT_EQ(sink.counters().size(), 3u);
-  EXPECT_EQ(sink.counters()[0].first, "b");
-  EXPECT_EQ(sink.counters()[0].second, 5);
-  EXPECT_EQ(sink.counters()[1].first, "a");
-  EXPECT_EQ(sink.counters()[1].second, 1);
-  EXPECT_EQ(sink.counters()[2].first, "c");
-  EXPECT_EQ(sink.counters()[2].second, 9);
-}
-
 TEST(TraceSinkTest, HistogramPointersAreStable) {
   trace::TraceSink sink;
   trace::Histogram* h = sink.histogram("lat");

@@ -142,6 +142,14 @@ std::optional<Dataset> LoadDataset(const std::string& prefix) {
       return std::nullopt;
     }
   }
+  for (const Status& status : {CheckTreeMatchesStore(*tree_r, *store_r),
+                               CheckTreeMatchesStore(*tree_s, *store_s)}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: mismatched dataset at prefix '%s': %s\n",
+                   prefix.c_str(), status.ToString().c_str());
+      return std::nullopt;
+    }
+  }
   return Dataset{std::move(store_r).value(), std::move(store_s).value(),
                  std::move(tree_r).value(), std::move(tree_s).value()};
 }
@@ -928,6 +936,7 @@ int CmdServe(int argc, char** argv) {
   if (reporter != nullptr) {
     reporter->Stop();  // Emits the final snapshot to the file sinks.
   }
+  const serve::ServiceStats& stats = result.stats;
   std::printf(
       "sustained %.1f qps (offered %.1f)\n"
       "queries: %lld submitted, %lld accepted, %lld rejected queue-full, "
@@ -937,22 +946,21 @@ int CmdServe(int argc, char** argv) {
       "avg batch %.2f, peak queue depth %lld\n"
       "descent: %lld nodes visited, %lld node scans, %lld entry tests\n",
       result.sustained_qps, result.offered_qps,
-      static_cast<long long>(result.submitted),
-      static_cast<long long>(result.accepted),
-      static_cast<long long>(result.rejected_queue_full),
-      static_cast<long long>(result.completed_ok),
-      static_cast<long long>(result.deadline_exceeded),
+      static_cast<long long>(stats.submitted),
+      static_cast<long long>(stats.accepted),
+      static_cast<long long>(stats.rejected_queue_full),
+      static_cast<long long>(stats.completed_ok),
+      static_cast<long long>(stats.deadline_exceeded),
       static_cast<long long>(result.p50_latency_us),
       static_cast<long long>(result.p95_latency_us),
       static_cast<long long>(result.p99_latency_us),
-      static_cast<long long>(result.hist_p50_latency_us),
-      static_cast<long long>(result.hist_p95_latency_us),
-      static_cast<long long>(result.hist_p99_latency_us),
-      result.avg_batch_size,
-      static_cast<long long>(result.peak_queue_depth),
-      static_cast<long long>(result.descent.nodes_visited),
-      static_cast<long long>(result.descent.node_scans),
-      static_cast<long long>(result.descent.entry_tests));
+      static_cast<long long>(stats.latency_us.ValueAtQuantile(0.50)),
+      static_cast<long long>(stats.latency_us.ValueAtQuantile(0.95)),
+      static_cast<long long>(stats.latency_us.ValueAtQuantile(0.99)),
+      stats.AvgBatchSize(), static_cast<long long>(stats.peak_queue_depth),
+      static_cast<long long>(stats.descent.nodes_visited),
+      static_cast<long long>(stats.descent.node_scans),
+      static_cast<long long>(stats.descent.entry_tests));
   if (!trace_path.empty()) {
     if (trace::WriteChromeTrace(sink, trace_path)) {
       std::printf("sampled request trace (every %lld) -> %s\n",
