@@ -7,6 +7,7 @@
 
 #include "report/figure_registry.h"
 #include "util/check.h"
+#include "util/json_writer.h"
 
 namespace psj::bench {
 
@@ -35,19 +36,6 @@ const PaperWorkload& GetWorkload() {
     return built;
   }();
   return *workload;
-}
-
-std::vector<JoinResult> RunJoinBatch(
-    const std::vector<ParallelJoinConfig>& configs) {
-  auto batch = GetWorkload().RunJoins(configs);
-  std::vector<JoinResult> results;
-  results.reserve(batch.size());
-  for (auto& result : batch) {
-    PSJ_CHECK(result.ok()) << "bench run failed: "
-                           << result.status().ToString();
-    results.push_back(std::move(result).value());
-  }
-  return results;
 }
 
 void PrintHeader(const char* artifact, const char* expectation) {

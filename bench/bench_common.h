@@ -1,17 +1,9 @@
 #ifndef PSJ_BENCH_BENCH_COMMON_H_
 #define PSJ_BENCH_BENCH_COMMON_H_
 
-#include <vector>
-
 #include "core/experiment.h"
-#include "util/json_writer.h"
 
 namespace psj::bench {
-
-/// The streaming JSON emitter behind the BENCH_*.json files now lives in
-/// src/util (it also serves `psj_cli join --json` and the Chrome trace
-/// exporter); the alias keeps the bench harnesses unchanged.
-using JsonWriter = ::psj::JsonWriter;
 
 /// Workload scale factor from the environment variable PSJ_BENCH_SCALE
 /// (default 1.0 = the paper's 131,443 / 127,312 objects). Use e.g.
@@ -20,13 +12,6 @@ double BenchScale();
 
 /// The shared experiment input at BenchScale(), built on first use.
 const PaperWorkload& GetWorkload();
-
-/// Runs `configs` over GetWorkload() concurrently on the parallel
-/// experiment driver (pool width: PSJ_EXPERIMENT_THREADS, default hardware
-/// concurrency) and returns the results in input order — bit-identical to
-/// running each config sequentially. Aborts the bench on a failed run.
-std::vector<JoinResult> RunJoinBatch(
-    const std::vector<ParallelJoinConfig>& configs);
 
 /// Prints the standard harness header: which paper artifact this
 /// reproduces and what qualitative shape to expect.

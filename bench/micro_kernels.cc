@@ -18,6 +18,7 @@
 #include "geo/node_scan.h"
 #include "geo/plane_sweep.h"
 #include "geo/rect_batch.h"
+#include "util/json_writer.h"
 #include "util/rng.h"
 
 namespace psj::bench {

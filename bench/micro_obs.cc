@@ -30,11 +30,10 @@
 #include "bench/bench_common.h"
 #include "native/native_join.h"
 #include "obs/metrics.h"
+#include "util/json_writer.h"
 
 namespace psj {
 namespace {
-
-using bench::JsonWriter;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -24,6 +24,7 @@
 #include "bench/bench_common.h"
 #include "report/serve_figure.h"
 #include "util/check.h"
+#include "util/json_writer.h"
 
 namespace {
 
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
       << "sampled serving results diverged from the single-query oracle";
 
   if (!out_path.empty()) {
-    psj::bench::JsonWriter writer;
+    psj::JsonWriter writer;
     doc.WriteJson(writer);
     if (!writer.WriteFile(out_path)) {
       std::fprintf(stderr, "failed to write %s\n", out_path.c_str());

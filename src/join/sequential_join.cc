@@ -1,13 +1,7 @@
 #include "join/sequential_join.h"
 
-#include "trace/trace_sink.h"
-
 namespace psj {
 namespace {
-
-/// Synthetic per-node-read clock advance of the traced sequential join: the
-/// paper's 16 ms directory-page read.
-constexpr trace::TraceTime kSyntheticNodeReadCost = 16'000;
 
 class SequentialJoiner {
  public:
@@ -21,22 +15,12 @@ class SequentialJoiner {
 
   SequentialJoinResult Run() {
     JoinPages(root_r_, root_s_);
-    if (trace_ != nullptr) {
-      trace_->SetTrackName(0, "sequential");
-      trace_->Span(0, trace::Category::kTask, "sequential join", 0, clock_,
-                   result_.node_pairs_processed, result_.node_reads);
-    }
     return std::move(result_);
   }
 
  private:
   NodeSoAView Fetch(const NodeSoACache& cache, uint32_t page) {
     ++result_.node_reads;
-    if (trace_ != nullptr) {
-      trace_->Span(0, trace::Category::kBufferMiss, "node read", clock_,
-                   clock_ + kSyntheticNodeReadCost, page);
-      clock_ += kSyntheticNodeReadCost;
-    }
     return cache.view(page);
   }
 
@@ -63,10 +47,6 @@ class SequentialJoiner {
     ++result_.node_pairs_processed;
     const auto pairs = MatchNodeEntriesSoA(nr, ns, options_.match, nullptr,
                                            &match_scratch_);
-    if (trace_ != nullptr) {
-      trace_->Instant(0, trace::Category::kNodePair, "node pair", clock_,
-                      static_cast<int64_t>(pairs.size()), nr.level);
-    }
     if (nr.is_leaf()) {
       for (const auto& [i, j] : pairs) {
         result_.candidates.emplace_back(nr.ids[i], ns.ids[j]);
@@ -83,8 +63,6 @@ class SequentialJoiner {
   const uint32_t root_r_;
   const uint32_t root_s_;
   const SequentialJoinOptions& options_;
-  trace::TraceSink* const trace_ = options_.trace;
-  trace::TraceTime clock_ = 0;
   SequentialJoinResult result_;
   NodeMatchScratch match_scratch_;
 };

@@ -11,21 +11,9 @@
 
 namespace psj {
 
-namespace trace {
-class TraceSink;
-}  // namespace trace
-
 /// Options of the sequential R*-tree join.
 struct SequentialJoinOptions {
   NodeMatchOptions match;
-
-  /// Optional event sink (null — the default — disables tracing). The
-  /// sequential join runs outside the simulator, so timestamps are
-  /// synthetic: a virtual clock advanced by one directory-page read cost
-  /// (16 ms) per node fetch. Track 0 carries one kTask span for the whole
-  /// join, a kBufferMiss span per node read, and a kNodePair instant per
-  /// matched node pair.
-  trace::TraceSink* trace = nullptr;
 };
 
 /// Result of a (pure, unsimulated) filter-step join: the candidate pairs in

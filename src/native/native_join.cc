@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "core/task_builder.h"
+#include "join/node_match.h"
 #include "native/work_pool.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -13,6 +14,11 @@ namespace psj::native {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Task creation descends until m >= factor * num_threads (§3.1), the
+/// simulated engine's default rule. perfbench's single-threaded replay
+/// (perfbench/layers.cc) builds its tasks with the same factor.
+constexpr double kTaskCreationFactor = 3.0;
 
 double ElapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -55,7 +61,7 @@ class NativeJoiner {
     // no hooks (in-memory trees, nothing to charge).
     JoinTaskSet tasks =
         BuildJoinTasks(tree_r_, tree_s_, config_.num_threads,
-                       config_.task_creation_factor, config_.match,
+                       kTaskCreationFactor, NodeMatchOptions(),
                        JoinTaskHooks(), &workers_[0].scratch);
     result_.num_tasks = static_cast<int64_t>(tasks.tasks.size());
     result_.task_level = tasks.task_level;
@@ -101,9 +107,7 @@ class NativeJoiner {
 
  private:
   bool Deterministic() const { return config_.deterministic; }
-  bool StealingEnabled() const {
-    return config_.enable_stealing && !Deterministic();
-  }
+  bool StealingEnabled() const { return !Deterministic(); }
 
   struct WorkerState {
     std::vector<std::pair<uint64_t, uint64_t>> candidates;
@@ -171,7 +175,7 @@ class NativeJoiner {
     const NodeSoAView nr = cache_r_.view(pair.page_r);
     const NodeSoAView ns = cache_s_.view(pair.page_s);
     const auto matches =
-        MatchNodeEntriesSoA(nr, ns, config_.match, nullptr, &w.scratch);
+        MatchNodeEntriesSoA(nr, ns, NodeMatchOptions(), nullptr, &w.scratch);
     ++w.stats.node_pairs_processed;
 
     if (pair.level > 0) {

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "join/node_match.h"
 #include "obs/metrics.h"
 #include "rtree/rstar_tree.h"
 
@@ -38,14 +37,6 @@ struct NativeJoinConfig {
   /// depends on the host schedule.
   bool deterministic = false;
 
-  /// Task reassignment between workers (ignored — always off — in
-  /// deterministic mode).
-  bool enable_stealing = true;
-
-  /// Task creation descends until m >= factor * num_threads (§3.1), same
-  /// rule as the simulated engine.
-  double task_creation_factor = 3.0;
-
   /// Optional live metrics: when set, the run defines the `native_*`
   /// counters plus the per-task duration histogram, freezes the registry,
   /// and feeds worker w's updates through shard w. Also turns on per-task
@@ -54,8 +45,6 @@ struct NativeJoinConfig {
   /// execution path is exactly the uninstrumented one — a single pointer
   /// test, bounded <1% by bench/micro_obs.
   obs::MetricsRegistry* metrics = nullptr;
-
-  NodeMatchOptions match;
 };
 
 /// Per-worker counters of one native run.

@@ -15,14 +15,6 @@
 
 namespace psj::native {
 
-/// Revision of the pool's atomics regime, exported as a scalar in the
-/// native sweep document so a BENCH_native.json can be matched to the
-/// synchronization it measured. Rev 1: seq_cst defaults everywhere,
-/// FinishItem acq_rel. Rev 2: the memory-order audit — FinishItem
-/// release (pairing with Done()'s acquire), PushChildren/approx_size
-/// relaxed, every site carrying an `// order:` rationale.
-inline constexpr int kWorkPoolAtomicsRev = 2;
-
 /// \brief Host-thread twin of the simulator's TaskPool: the shared work
 /// queue of the dynamic assignment plus one per-worker PerLevelWorkload
 /// (the engine-agnostic per-level deques of core/workload.h), with §3.4

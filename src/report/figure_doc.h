@@ -17,16 +17,11 @@ namespace psj::report {
 /// without a psj schema tag.
 inline constexpr std::string_view kFigureSchema = "psj-figure-v1";
 
-/// Schema tag of the native wall-clock speedup documents (report/
-/// native_figure.h). A separate family: wall-clock values are
-/// host-dependent, so these documents are never golden-compared — the tag
-/// keeps the diff engine from silently comparing them against virtual-time
-/// goldens.
-inline constexpr std::string_view kNativeFigureSchema = "psj-native-fig-v1";
-
 /// Schema tag of the serving throughput/latency documents (report/
-/// serve_figure.h, bench/serve_qps). Wall-clock like the native family,
-/// hence never golden-compared.
+/// serve_figure.h, bench/serve_qps). A separate family: wall-clock values
+/// are host-dependent, so these documents are never golden-compared — the
+/// tag keeps the diff engine from silently comparing them against
+/// virtual-time goldens.
 inline constexpr std::string_view kServeFigureSchema = "psj-serve-fig-v1";
 
 /// True for document families whose values are host wall-clock measurements
@@ -34,7 +29,7 @@ inline constexpr std::string_view kServeFigureSchema = "psj-serve-fig-v1";
 /// time. Wall-clock documents are never golden-gated: DiffAgainstGolden
 /// refuses them even when both sides carry the same schema tag.
 inline constexpr bool IsWallClockSchema(std::string_view schema) {
-  return schema == kNativeFigureSchema || schema == kServeFigureSchema;
+  return schema == kServeFigureSchema;
 }
 
 /// One (x, y) measurement of a series.
@@ -49,7 +44,7 @@ struct FigurePoint {
 /// figure's x axis (e.g. "gd n=8" / "disk_accesses" over buffer sizes).
 struct FigureSeries {
   std::string name;    // Display label, unique within the figure.
-  std::string metric;  // Machine name of the y quantity (tolerance lookup).
+  std::string metric;  // Machine name of the y quantity.
   std::vector<FigurePoint> points;
 
   friend bool operator==(const FigureSeries&, const FigureSeries&) = default;

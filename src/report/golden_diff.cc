@@ -1,7 +1,5 @@
 #include "report/golden_diff.h"
 
-#include <cmath>
-
 #include "util/string_util.h"
 
 namespace psj::report {
@@ -17,52 +15,26 @@ std::string_view KindLabel(Drift::Kind kind) {
     case Drift::Kind::kMissingScalar: return "missing-scalar";
     case Drift::Kind::kNewScalar: return "new-scalar";
     case Drift::Kind::kAxisChanged: return "axis-changed";
-    case Drift::Kind::kOutOfTolerance: return "out-of-tolerance";
+    case Drift::Kind::kValueChanged: return "value-changed";
   }
   return "unknown";
 }
 
 void AddDrift(DriftReport& report, Drift::Kind kind, std::string where,
-              double golden = 0.0, double current = 0.0,
-              double allowed = 0.0) {
-  report.drifts.push_back(
-      Drift{kind, std::move(where), golden, current, allowed});
+              double golden = 0.0, double current = 0.0) {
+  report.drifts.push_back(Drift{kind, std::move(where), golden, current});
 }
 
 }  // namespace
 
-double Tolerance::AllowedFor(double golden) const {
-  return std::max(abs, rel * std::abs(golden));
-}
-
-TolerancePolicy TolerancePolicy::Exact() { return TolerancePolicy(); }
-
-void TolerancePolicy::Set(std::string metric, Tolerance tolerance) {
-  for (auto& [name, existing] : overrides_) {
-    if (name == metric) {
-      existing = tolerance;
-      return;
-    }
-  }
-  overrides_.emplace_back(std::move(metric), tolerance);
-}
-
-Tolerance TolerancePolicy::ForMetric(std::string_view metric) const {
-  for (const auto& [name, tolerance] : overrides_) {
-    if (name == metric) {
-      return tolerance;
-    }
-  }
-  return default_;
-}
-
 std::string Drift::Format() const {
   switch (kind) {
-    case Kind::kOutOfTolerance:
-      return StringPrintf(
-          "[%s] %s: golden %.6f, current %.6f (delta %.6f > allowed %.6f)",
-          std::string(KindLabel(kind)).c_str(), where.c_str(), golden,
-          current, std::abs(current - golden), allowed);
+    case Kind::kValueChanged:
+      // Round-trip precision: the comparison is exact, so the report shows
+      // every digit that differs.
+      return StringPrintf("[%s] %s: golden %.17g, current %.17g",
+                          std::string(KindLabel(kind)).c_str(), where.c_str(),
+                          golden, current);
     case Kind::kParamsChanged:
       return StringPrintf("[%s] %s: golden %.6f, current %.6f",
                           std::string(KindLabel(kind)).c_str(), where.c_str(),
@@ -75,8 +47,8 @@ std::string Drift::Format() const {
 
 std::string DriftReport::Format() const {
   if (ok()) {
-    return StringPrintf("%s: ok (%d values within tolerance)\n",
-                        figure.c_str(), values_compared);
+    return StringPrintf("%s: ok (%d values equal)\n", figure.c_str(),
+                        values_compared);
   }
   std::string out = StringPrintf("%s: DRIFT (%zu finding(s), %d values "
                                  "compared)\n",
@@ -89,12 +61,11 @@ std::string DriftReport::Format() const {
 }
 
 DriftReport DiffAgainstGolden(const FigureDoc& golden,
-                              const FigureDoc& current,
-                              const TolerancePolicy& policy) {
+                              const FigureDoc& current) {
   DriftReport report;
   report.figure = current.figure.empty() ? golden.figure : current.figure;
 
-  // Documents from different families (e.g. a native wall-clock sweep vs a
+  // Documents from different families (e.g. a serving sweep vs a
   // virtual-time figure) are incomparable: refuse outright rather than
   // reporting every value as drifted.
   if (golden.schema != current.schema) {
@@ -103,7 +74,7 @@ DriftReport DiffAgainstGolden(const FigureDoc& golden,
     return report;
   }
 
-  // Wall-clock families (native / serve sweeps) are host-dependent: two
+  // Wall-clock families (the serving sweep) are host-dependent: two
   // byte-identical configurations legitimately measure different values, so
   // exact-golden gating would flag every honest run. Refuse the comparison
   // even though the schemas match.
@@ -136,10 +107,9 @@ DriftReport DiffAgainstGolden(const FigureDoc& golden,
       continue;
     }
     ++report.values_compared;
-    const double allowed = policy.ForMetric(name).AllowedFor(golden_value);
-    if (std::abs(*current_value - golden_value) > allowed) {
-      AddDrift(report, Drift::Kind::kOutOfTolerance, "scalar '" + name + "'",
-               golden_value, *current_value, allowed);
+    if (*current_value != golden_value) {
+      AddDrift(report, Drift::Kind::kValueChanged, "scalar '" + name + "'",
+               golden_value, *current_value);
     }
   }
   for (const auto& [name, value] : current.scalars) {
@@ -157,7 +127,6 @@ DriftReport DiffAgainstGolden(const FigureDoc& golden,
                "series '" + golden_series.name + "'");
       continue;
     }
-    const Tolerance tolerance = policy.ForMetric(golden_series.metric);
     for (const FigurePoint& golden_point : golden_series.points) {
       const FigurePoint* match = nullptr;
       for (const FigurePoint& candidate : current_series->points) {
@@ -172,13 +141,12 @@ DriftReport DiffAgainstGolden(const FigureDoc& golden,
         continue;
       }
       ++report.values_compared;
-      const double allowed = tolerance.AllowedFor(golden_point.y);
-      if (std::abs(match->y - golden_point.y) > allowed) {
-        AddDrift(report, Drift::Kind::kOutOfTolerance,
+      if (match->y != golden_point.y) {
+        AddDrift(report, Drift::Kind::kValueChanged,
                  StringPrintf("series '%s' [%s] @ x=%g",
                               golden_series.name.c_str(),
                               golden_series.metric.c_str(), golden_point.x),
-                 golden_point.y, match->y, allowed);
+                 golden_point.y, match->y);
       }
     }
     for (const FigurePoint& current_point : current_series->points) {

@@ -2,41 +2,11 @@
 #define PSJ_REPORT_GOLDEN_DIFF_H_
 
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "report/figure_doc.h"
 
 namespace psj::report {
-
-/// Allowed deviation of one metric: |current - golden| must be within
-/// max(abs, rel * |golden|). The defaults are exact — the simulator is
-/// bit-deterministic, so a clean tree reproduces every golden value to the
-/// last digit and any drift is a real behavior change.
-struct Tolerance {
-  double abs = 0.0;
-  double rel = 0.0;
-
-  double AllowedFor(double golden) const;
-};
-
-/// \brief Per-metric tolerance table with a default. Metrics are looked up
-/// by the series' machine name ("disk_accesses", "response_time_us", ...);
-/// scalars by their scalar name.
-class TolerancePolicy {
- public:
-  /// Exact comparison for every metric (the committed-golden policy).
-  static TolerancePolicy Exact();
-
-  void Set(std::string metric, Tolerance tolerance);
-  void SetDefault(Tolerance tolerance) { default_ = tolerance; }
-  Tolerance ForMetric(std::string_view metric) const;
-
- private:
-  Tolerance default_;
-  std::vector<std::pair<std::string, Tolerance>> overrides_;
-};
 
 /// One divergence between a golden document and the current run.
 struct Drift {
@@ -49,19 +19,18 @@ struct Drift {
     kMissingScalar,
     kNewScalar,
     kAxisChanged,      // Same series, different x values.
-    kOutOfTolerance,   // Same point, y drifted beyond the tolerance.
+    kValueChanged,     // Same point or scalar, a value that is not equal.
   };
   Kind kind;
   std::string where;   // "series 'gd n=8' @ x=800", "scalar 'refine_min_us'".
   double golden = 0.0;
   double current = 0.0;
-  double allowed = 0.0;  // Tolerance that was applied (kOutOfTolerance).
 
   std::string Format() const;
 };
 
 /// \brief Structured comparison result of one figure. `ok()` means every
-/// golden value was reproduced within tolerance and nothing appeared or
+/// golden value was reproduced exactly and nothing appeared or
 /// disappeared.
 struct DriftReport {
   std::string figure;
@@ -75,10 +44,12 @@ struct DriftReport {
 };
 
 /// Compares the current document against the golden snapshot. Series and
-/// scalars are matched by name; points by exact x value.
+/// scalars are matched by name; points by exact x value. Values compare
+/// exactly: the simulator is bit-deterministic, so a clean tree reproduces
+/// every golden value to the last digit, and any difference — NaN included,
+/// which equals nothing — is a real behavior change.
 DriftReport DiffAgainstGolden(const FigureDoc& golden,
-                              const FigureDoc& current,
-                              const TolerancePolicy& policy);
+                              const FigureDoc& current);
 
 }  // namespace psj::report
 

@@ -15,37 +15,54 @@
 namespace psj::serve {
 namespace {
 
-/// Deterministic descriptor stream implementing the configured query mix
-/// over the tree's domain, with a hot region concentrating the configured
-/// fraction of the traffic.
+/// The query mix. Fractions of knn / join-region / point probes; the
+/// remainder are window queries. Window and point probes alternate between
+/// the two trees.
+constexpr double kKnnFraction = 0.02;
+constexpr double kJoinFraction = 0.002;
+constexpr double kPointFraction = 0.30;
+
+/// Fraction of single-tree queries whose center falls in a small hot region
+/// of the map (skewed real-world interest: most traffic looks at the same
+/// downtown). Hotspot traffic overlaps, which is what batched descents
+/// amortize.
+constexpr double kHotspotFraction = 0.6;
+/// Query window side length as a fraction of the map extent.
+constexpr double kWindowExtent = 0.01;
+/// Hot region side length as a fraction of the map extent.
+constexpr double kHotspotExtent = 0.08;
+
+/// Deterministic descriptor stream implementing the query mix over the
+/// tree's domain, with a hot region concentrating kHotspotFraction of the
+/// traffic.
 class QueryStream {
  public:
   QueryStream(const Rect& domain, const LoadGenOptions& options)
-      : rng_(options.seed), options_(options), domain_(domain) {
+      : rng_(options.seed),
+        deadline_micros_(options.deadline_micros),
+        domain_(domain) {
     const double ex = domain_.xu - domain_.xl;
     const double ey = domain_.yu - domain_.yl;
-    side_x_ = ex * options_.window_extent;
-    side_y_ = ey * options_.window_extent;
+    side_x_ = ex * kWindowExtent;
+    side_y_ = ey * kWindowExtent;
     // A fixed "downtown": offset from the corner so hotspot queries overlap
     // each other heavily but still see ordinary data density.
     const double hx = domain_.xl + 0.37 * ex;
     const double hy = domain_.yl + 0.41 * ey;
-    hot_ = Rect(hx, hy, hx + ex * options_.hotspot_extent,
-                hy + ey * options_.hotspot_extent);
+    hot_ = Rect(hx, hy, hx + ex * kHotspotExtent, hy + ey * kHotspotExtent);
   }
 
   QueryDescriptor Next() {
     const double u = Uniform();
     QueryDescriptor d;
-    if (u < options_.knn_fraction) {
+    if (u < kKnnFraction) {
       d = QueryDescriptor::Knn(Center(), 1 + static_cast<uint32_t>(rng_() % 16),
                                Target());
-    } else if (u < options_.knn_fraction + options_.join_fraction) {
+    } else if (u < kKnnFraction + kJoinFraction) {
       const Point c = Center();
       d = QueryDescriptor::JoinRegion(Rect(c.x - side_x_, c.y - side_y_,
                                            c.x + side_x_, c.y + side_y_));
-    } else if (u < options_.knn_fraction + options_.join_fraction +
-                       options_.point_fraction) {
+    } else if (u < kKnnFraction + kJoinFraction + kPointFraction) {
       d = QueryDescriptor::PointProbe(Center(), Target());
     } else {
       const Point c = Center();
@@ -53,7 +70,7 @@ class QueryStream {
                                        c.x + side_x_ / 2, c.y + side_y_ / 2),
                                   Target());
     }
-    d.deadline_micros = options_.deadline_micros;
+    d.deadline_micros = deadline_micros_;
     return d;
   }
 
@@ -63,7 +80,7 @@ class QueryStream {
   }
 
   Point Center() {
-    const Rect& from = Uniform() < options_.hotspot_fraction ? hot_ : domain_;
+    const Rect& from = Uniform() < kHotspotFraction ? hot_ : domain_;
     return Point{from.xl + Uniform() * (from.xu - from.xl),
                  from.yl + Uniform() * (from.yu - from.yl)};
   }
@@ -73,7 +90,7 @@ class QueryStream {
   }
 
   std::mt19937_64 rng_;
-  const LoadGenOptions options_;
+  const int64_t deadline_micros_;
   const Rect domain_;
   Rect hot_ = Rect::Empty();
   double side_x_ = 0.0;

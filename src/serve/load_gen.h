@@ -25,23 +25,6 @@ struct LoadGenOptions {
   size_t max_batch = 256;
   size_t queue_capacity = 4096;
 
-  /// Query mix. Fractions of knn / join-region / point probes; the
-  /// remainder are window queries. Window and point probes alternate
-  /// between the two trees.
-  double point_fraction = 0.30;
-  double knn_fraction = 0.02;
-  double join_fraction = 0.002;
-
-  /// Fraction of single-tree queries whose center falls in a small hot
-  /// region of the map (skewed real-world interest: most traffic looks at
-  /// the same downtown). Hotspot traffic overlaps, which is what batched
-  /// descents amortize.
-  double hotspot_fraction = 0.6;
-  /// Query window side length as a fraction of the map extent.
-  double window_extent = 0.01;
-  /// Hot region side length as a fraction of the map extent.
-  double hotspot_extent = 0.08;
-
   /// Deadline applied to every generated query (< 0 = none).
   int64_t deadline_micros = -1;
 

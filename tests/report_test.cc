@@ -1,10 +1,11 @@
 // Report-pipeline tests: figure-document JSON round-trips bit for bit, the
-// golden diff engine reports every drift kind with exact and relaxed
-// tolerances, the experiment registry reproduces a real figure
+// golden diff engine compares exactly and reports every drift kind, the
+// experiment registry reproduces a real figure
 // byte-identically across reruns, and the ASCII/Markdown renderers are
 // deterministic.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,6 @@ using report::DriftReport;
 using report::FigureDoc;
 using report::FigurePoint;
 using report::FigureSeries;
-using report::Tolerance;
-using report::TolerancePolicy;
 
 FigureDoc SampleDoc() {
   FigureDoc doc;
@@ -83,19 +82,18 @@ TEST(FigureDocTest, RejectsForeignSchemaAndGarbage) {
 
 TEST(FigureDocTest, RoundTripsNonDefaultPsjSchema) {
   FigureDoc doc = SampleDoc();
-  doc.schema = std::string(report::kNativeFigureSchema);
+  doc.schema = std::string(report::kServeFigureSchema);
   const auto parsed = FigureDoc::FromJsonText(doc.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->schema, report::kNativeFigureSchema);
+  EXPECT_EQ(parsed->schema, report::kServeFigureSchema);
   EXPECT_EQ(*parsed, doc);
 }
 
 TEST(GoldenDiffTest, RefusesCrossSchemaComparison) {
   const FigureDoc golden = SampleDoc();
   FigureDoc current = golden;
-  current.schema = std::string(report::kNativeFigureSchema);
-  const DriftReport report =
-      DiffAgainstGolden(golden, current, TolerancePolicy::Exact());
+  current.schema = std::string(report::kServeFigureSchema);
+  const DriftReport report = DiffAgainstGolden(golden, current);
   ASSERT_EQ(report.drifts.size(), 1u);
   EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kSchemaMismatch);
   // Nothing is value-compared across families.
@@ -103,62 +101,56 @@ TEST(GoldenDiffTest, RefusesCrossSchemaComparison) {
 }
 
 TEST(GoldenDiffTest, RefusesWallClockFamiliesEvenWithMatchingSchemas) {
-  // Wall-clock documents (native / serve sweeps) are host-dependent, so a
+  // Wall-clock documents (the serving sweep) are host-dependent, so a
   // same-schema golden comparison is refused outright — no value is ever
-  // exact-golden-gated for these families.
-  for (const std::string_view schema :
-       {report::kNativeFigureSchema, report::kServeFigureSchema}) {
-    ASSERT_TRUE(report::IsWallClockSchema(schema));
-    FigureDoc golden = SampleDoc();
-    golden.schema = std::string(schema);
-    FigureDoc current = golden;
-    current.series[0].points[1].y += 123.0;  // Would drift if compared.
-    const DriftReport report =
-        DiffAgainstGolden(golden, current, TolerancePolicy::Exact());
-    ASSERT_EQ(report.drifts.size(), 1u) << schema;
-    EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kWallClockRefused);
-    EXPECT_EQ(report.values_compared, 0) << schema;
-    EXPECT_NE(report.Format().find("wall-clock-refused"), std::string::npos);
-  }
+  // exact-golden-gated for this family.
+  ASSERT_TRUE(report::IsWallClockSchema(report::kServeFigureSchema));
+  FigureDoc golden = SampleDoc();
+  golden.schema = std::string(report::kServeFigureSchema);
+  FigureDoc current = golden;
+  current.series[0].points[1].y += 123.0;  // Would drift if compared.
+  const DriftReport report = DiffAgainstGolden(golden, current);
+  ASSERT_EQ(report.drifts.size(), 1u);
+  EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kWallClockRefused);
+  EXPECT_EQ(report.values_compared, 0);
+  EXPECT_NE(report.Format().find("wall-clock-refused"), std::string::npos);
   EXPECT_FALSE(report::IsWallClockSchema(report::kFigureSchema));
 }
 
 TEST(GoldenDiffTest, IdenticalDocsAreClean) {
   const FigureDoc doc = SampleDoc();
-  const DriftReport report =
-      DiffAgainstGolden(doc, doc, TolerancePolicy::Exact());
+  const DriftReport report = DiffAgainstGolden(doc, doc);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.values_compared, 6);  // 2 scalars + 4 points.
   EXPECT_NE(report.Format().find("ok"), std::string::npos);
 }
 
-TEST(GoldenDiffTest, ExactPolicyFlagsAnyValueChange) {
+TEST(GoldenDiffTest, AnyValueChangeIsDrift) {
   const FigureDoc golden = SampleDoc();
   FigureDoc current = golden;
   current.series[0].points[1].y += 1.0;
   current.scalars[0].second += 0.5;
-  const DriftReport report =
-      DiffAgainstGolden(golden, current, TolerancePolicy::Exact());
+  const DriftReport report = DiffAgainstGolden(golden, current);
   ASSERT_EQ(report.drifts.size(), 2u);
-  EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kOutOfTolerance);
-  EXPECT_EQ(report.drifts[1].kind, Drift::Kind::kOutOfTolerance);
+  EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kValueChanged);
+  EXPECT_EQ(report.drifts[1].kind, Drift::Kind::kValueChanged);
   // The formatted report names the series and the x position.
   EXPECT_NE(report.Format().find("gd n=8"), std::string::npos);
   EXPECT_NE(report.Format().find("x=400"), std::string::npos);
 }
 
-TEST(GoldenDiffTest, TolerancesAbsorbSmallDrift) {
+TEST(GoldenDiffTest, NaNIsDrift) {
+  // NaN equals nothing, so a NaN where the golden holds a number is a
+  // changed value, never a match.
   const FigureDoc golden = SampleDoc();
   FigureDoc current = golden;
-  current.series[0].points[1].y += 1.0;    // disk_accesses metric.
-  current.scalars[0].second *= 1.0001;     // t1_response_time_us scalar.
-  TolerancePolicy policy;
-  policy.Set("disk_accesses", Tolerance{2.0, 0.0});
-  policy.Set("t1_response_time_us", Tolerance{0.0, 0.001});
-  EXPECT_TRUE(DiffAgainstGolden(golden, current, policy).ok());
-  // Tighter than the drift: flagged again.
-  policy.Set("disk_accesses", Tolerance{0.5, 0.0});
-  EXPECT_FALSE(DiffAgainstGolden(golden, current, policy).ok());
+  current.scalars[1].second = std::numeric_limits<double>::quiet_NaN();
+  current.series[1].points[0].y = std::numeric_limits<double>::quiet_NaN();
+  const DriftReport report = DiffAgainstGolden(golden, current);
+  ASSERT_EQ(report.drifts.size(), 2u) << report.Format();
+  EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kValueChanged);
+  EXPECT_EQ(report.drifts[1].kind, Drift::Kind::kValueChanged);
+  EXPECT_EQ(report.values_compared, 6);
 }
 
 TEST(GoldenDiffTest, StructuralDriftKinds) {
@@ -166,27 +158,26 @@ TEST(GoldenDiffTest, StructuralDriftKinds) {
 
   FigureDoc missing_series = golden;
   missing_series.series.pop_back();
-  auto report =
-      DiffAgainstGolden(golden, missing_series, TolerancePolicy::Exact());
+  auto report = DiffAgainstGolden(golden, missing_series);
   ASSERT_EQ(report.drifts.size(), 1u);
   EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kMissingSeries);
 
   FigureDoc new_scalar = golden;
   new_scalar.scalars.emplace_back("extra", 1.0);
-  report = DiffAgainstGolden(golden, new_scalar, TolerancePolicy::Exact());
+  report = DiffAgainstGolden(golden, new_scalar);
   ASSERT_EQ(report.drifts.size(), 1u);
   EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kNewScalar);
 
   FigureDoc moved_x = golden;
   moved_x.series[1].points[0].x = 300.0;
-  report = DiffAgainstGolden(golden, moved_x, TolerancePolicy::Exact());
+  report = DiffAgainstGolden(golden, moved_x);
   ASSERT_EQ(report.drifts.size(), 2u);  // Golden x gone + new current x.
   EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kAxisChanged);
   EXPECT_EQ(report.drifts[1].kind, Drift::Kind::kAxisChanged);
 
   FigureDoc rescaled = golden;
   rescaled.scale = 0.1;
-  report = DiffAgainstGolden(golden, rescaled, TolerancePolicy::Exact());
+  report = DiffAgainstGolden(golden, rescaled);
   ASSERT_EQ(report.drifts.size(), 1u);
   EXPECT_EQ(report.drifts[0].kind, Drift::Kind::kParamsChanged);
 }
@@ -235,8 +226,7 @@ TEST(FigureRegistryTest, RerunsAreByteIdentical) {
   // itself — exactly what `psj_cli report --check` does.
   const auto reloaded = FigureDoc::FromJsonText(first.ToJson());
   ASSERT_TRUE(reloaded.ok());
-  EXPECT_TRUE(
-      DiffAgainstGolden(*reloaded, second, TolerancePolicy::Exact()).ok());
+  EXPECT_TRUE(DiffAgainstGolden(*reloaded, second).ok());
 }
 
 TEST(AsciiChartTest, DeterministicAndScalarDocsRenderEmpty) {

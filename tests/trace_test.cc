@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "join/sequential_join.h"
 #include "trace/chrome_trace.h"
 #include "trace/flame.h"
 #include "trace/timeline.h"
@@ -428,28 +427,6 @@ TEST(ChromeTraceTest, RecordsTheExpectedEventMix) {
   ASSERT_NE(queue_wait, nullptr);
   EXPECT_EQ(queue_wait->total_count(), result.stats.total_disk_accesses);
   EXPECT_EQ(queue_wait->sum(), result.stats.total_disk_wait);
-}
-
-TEST(SequentialJoinTraceTest, EmitsSyntheticTimeline) {
-  trace::TraceSink sink;
-  SequentialJoinOptions options;
-  options.trace = &sink;
-  const SequentialJoinResult result = SequentialRTreeJoin(
-      TinyWorkload().tree_r(), TinyWorkload().tree_s(), options);
-  EXPECT_GT(result.node_reads, 0);
-  int64_t reads = 0;
-  int64_t top_spans = 0;
-  for (const trace::TraceEvent& event : sink.events()) {
-    if (event.category == trace::Category::kBufferMiss) {
-      ++reads;
-    } else if (event.category == trace::Category::kTask) {
-      ++top_spans;
-    }
-  }
-  EXPECT_EQ(reads, result.node_reads);
-  EXPECT_EQ(top_spans, 1);
-  const std::string json = trace::ExportChromeTrace(sink);
-  EXPECT_TRUE(JsonValidator(json).Valid());
 }
 
 // ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "report/figure_registry.h"
-#include "report/native_figure.h"
 #include "report/golden_diff.h"
 #include "report/markdown_report.h"
 #include "report/serve_figure.h"
@@ -520,7 +519,6 @@ int CmdReport(int argc, char** argv) {
                                             "golden");
   const bool check = BoolFlag(argc, argv, "check");
   const bool update_goldens = BoolFlag(argc, argv, "update-goldens");
-  const bool with_native = BoolFlag(argc, argv, "native");
   const bool with_serve = BoolFlag(argc, argv, "serve");
   const int jobs = IntFlag(argc, argv, "jobs", 0);
   if (scale <= 0.0) {
@@ -559,7 +557,6 @@ int CmdReport(int argc, char** argv) {
   report::RunOptions options;
   options.scale = scale;
   options.num_threads = jobs;
-  const report::TolerancePolicy policy = report::TolerancePolicy::Exact();
 
   int exit_code = 0;
   std::vector<report::FigureReportEntry> entries;
@@ -594,8 +591,7 @@ int CmdReport(int argc, char** argv) {
                      golden.status().ToString().c_str());
         return 1;
       }
-      report::DriftReport drift =
-          report::DiffAgainstGolden(*golden, entry.doc, policy);
+      report::DriftReport drift = report::DiffAgainstGolden(*golden, entry.doc);
       std::printf("%s", drift.Format().c_str());
       if (!drift.ok()) {
         exit_code = 1;
@@ -605,34 +601,9 @@ int CmdReport(int argc, char** argv) {
     entries.push_back(std::move(entry));
   }
 
-  // The native wall-clock sweep renders beside the virtual-time figures but
-  // is never golden-compared: its numbers are host-dependent (the document
-  // carries its own "psj-native-fig-v1" schema, and DiffAgainstGolden
-  // refuses cross-schema comparison by design).
-  if (with_native) {
-    std::fprintf(stderr,
-                 "[report] running native wall-clock sweep (host has %d "
-                 "core(s))...\n",
-                 native::HostHardwareConcurrency());
-    report::NativeSweepOptions native_options;
-    native_options.scale = scale;
-    native_options.repeats = IntFlag(argc, argv, "native-repeats", 3);
-    report::FigureReportEntry entry;
-    entry.doc = report::RunNativeSpeedupFigure(workload, native_options);
-    entry.expectation = report::kNativeSpeedupExpectation;
-    const double* verified = entry.doc.FindScalar("verified");
-    if (verified == nullptr || *verified != 1.0) {
-      std::fprintf(stderr,
-                   "error: native engines diverged from the sequential "
-                   "join\n");
-      return 1;
-    }
-    entries.push_back(std::move(entry));
-  }
-
-  // The serving sweep is the second wall-clock family ("psj-serve-fig-v1"):
-  // rendered beside the figures, never golden-compared, but its sampled
-  // results are oracle-checked.
+  // The serving sweep is a wall-clock family ("psj-serve-fig-v1"): rendered
+  // beside the figures, never golden-compared, but its sampled results are
+  // oracle-checked.
   if (with_serve) {
     std::fprintf(stderr,
                  "[report] running serving throughput sweep (host has %d "
@@ -1014,7 +985,6 @@ int Usage() {
       "  report   [--figures=fig5,...] [--scale=F] [--jobs=N]\n"
       "           [--golden-dir=DIR] [--check | --update-goldens]\n"
       "           [--out-dir=DIR]\n"
-      "           [--native] [--native-repeats=N]\n"
       "           [--serve] [--serve-duration-ms=N]\n");
   return 2;
 }

@@ -82,10 +82,17 @@ leak into simulated results.
                        "_count" for dimensionless tallies and gauges. Keeps
                        the exported Prometheus/JSON series uniform and
                        machine-filterable.
+  micro-in-ci          A micro bench stays only while it guards a contract
+                       in CI: every bench/micro_*.cc is named by a step of
+                       .github/workflows/ci.yml (comment lines do not
+                       count). End-to-end and per-layer numbers come from
+                       perfbench, so a harness no CI step runs is a second
+                       path to delete, not to keep.
 
 Usage: python3 tools/psj_lint.py [--root REPO] [FILES...]
 With FILES, only those files are checked (the CI changed-files mode);
-no-tracked-build and golden-schema always inspect the whole index.
+no-tracked-build, golden-schema and micro-in-ci always inspect the whole
+tree.
 Exit 0 = clean.
 """
 
@@ -227,6 +234,11 @@ METRIC_DEFINE = re.compile(
     r"\bDefine(?:Counter|Gauge|Histogram)\(\s*\"([^\"]*)\""
 )
 METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(_us|_bytes|_count)$")
+
+# micro-in-ci: the micro benches, and the workflow whose steps must name
+# each of them.
+MICRO_BENCH = re.compile(r"^bench/(micro_\w+)\.cc$")
+CI_WORKFLOW = ".github/workflows/ci.yml"
 
 CXX_SUFFIXES = {".cc", ".h"}
 
@@ -376,6 +388,21 @@ def lint_golden_schema(root, errors):
                 f"{rel}: [golden-schema] missing versioned schema tag "
                 f'("schema": "psj-..."); regenerate with '
                 "'psj_cli report --update-goldens'"
+            )
+
+
+def lint_micro_in_ci(bench_sources, ci_text, errors):
+    """Every micro bench among `bench_sources` (paths relative to the repo
+    root) must be named by a non-comment line of the CI workflow text."""
+    steps = "\n".join(
+        line for line in ci_text.splitlines() if not line.lstrip().startswith("#")
+    )
+    for rel in bench_sources:
+        match = MICRO_BENCH.match(rel)
+        if match and not re.search(rf"\b{match.group(1)}\b", steps):
+            errors.append(
+                f"{rel}: [micro-in-ci] no step of {CI_WORKFLOW} runs "
+                f"{match.group(1)}; a micro bench stays only while CI runs it"
             )
 
 
@@ -618,7 +645,30 @@ def self_test():
         # …and a commented-out call site does not fire.
         ("src/join/x.cc", '// m.DefineCounter("badName")\n', None),
     ]
+    # micro-in-ci: (bench sources, CI workflow text, the sources it flags).
+    ci_cases = [
+        # A micro bench that a CI step runs is clean…
+        (
+            ["bench/micro_kernels.cc"],
+            "      - run: ./build/bench/micro_kernels --smoke k.json\n",
+            [],
+        ),
+        # …one that no step names is flagged, even where a comment names it…
+        (
+            ["bench/micro_sim.cc"],
+            "      # micro_sim timed the scheduler.\n      - run: ctest\n",
+            ["bench/micro_sim.cc"],
+        ),
+        # …and a harness that is not a micro bench needs no step.
+        (["bench/serve_qps.cc"], "      - run: ctest\n", []),
+    ]
     failures = []
+    for i, (sources, ci_text, flagged) in enumerate(ci_cases):
+        errors = []
+        lint_micro_in_ci(sources, ci_text, errors)
+        got = [e.split(":")[0] for e in errors if "[micro-in-ci]" in e]
+        if got != flagged:
+            failures.append(f"ci case {i}: expected {flagged}, got {errors}")
     with tempfile.TemporaryDirectory() as tmp:
         for i, (rel, content, rule) in enumerate(cases):
             path = pathlib.Path(tmp) / f"case{i}.cc"
@@ -636,7 +686,7 @@ def self_test():
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"psj_lint --self-test: {len(cases)} cases ok")
+    print(f"psj_lint --self-test: {len(cases) + len(ci_cases)} cases ok")
     return 0
 
 
@@ -671,6 +721,12 @@ def main(argv):
         rel = path.relative_to(root).as_posix()
         lint_file(path, rel, errors)
     lint_golden_schema(root, errors)
+    workflow = root / CI_WORKFLOW
+    lint_micro_in_ci(
+        [p.relative_to(root).as_posix() for p in sorted(root.glob("bench/*.cc"))],
+        workflow.read_text(encoding="utf-8") if workflow.is_file() else "",
+        errors,
+    )
     lint_tracked_build_trees(root, errors)
 
     if errors:
