@@ -156,8 +156,8 @@ class Region {
 };
 
 /// \brief A single shared scalar with access checking — the annotation for
-/// plain flags and counters living in shared virtual memory (the join
-/// driver's tasks_ready_ flag, for instance).
+/// plain flags and counters living in shared virtual memory (the simulated
+/// machine's task-ready flag, for instance; see core/sim_machine.h).
 ///
 /// Read()/Write()/Mutate() require the accessing process; peek() is the
 /// unchecked escape hatch for host-side code running outside the

@@ -81,7 +81,7 @@ ParallelJoinConfig ParallelJoinConfig::Gd() {
   return config;
 }
 
-Status ParallelJoinConfig::Validate() const {
+Status SimConfig::Validate() const {
   if (num_processors <= 0) {
     return Status::InvalidArgument("num_processors must be positive");
   }
@@ -93,10 +93,6 @@ Status ParallelJoinConfig::Validate() const {
   }
   if (costs.refine_min < 0 || costs.refine_max < costs.refine_min) {
     return Status::InvalidArgument("invalid refinement cost range");
-  }
-  if (use_second_filter && second_filter_sections < 1) {
-    return Status::InvalidArgument(
-        "second_filter_sections must be at least 1");
   }
   return Status::OK();
 }

@@ -52,13 +52,11 @@ std::string_view ToString(ReassignmentLevel value);
 std::string_view ToString(VictimPolicy value);
 std::string_view ToString(PagePlacement value);
 
-/// \brief Full configuration of one parallel spatial join run.
-///
-/// The paper's three named variants map to:
-///  - lsr  = kLocal  + kStaticRange
-///  - gsrr = kGlobal + kStaticRoundRobin
-///  - gd   = kGlobal + kDynamic
-struct ParallelJoinConfig {
+/// \brief The configuration of the simulated machine that the parallel
+/// operators share (§3): the platform (processors, disks, buffers, page
+/// placement, costs), task creation, assignment and reassignment, and the
+/// simulator's tie-break and race detector.
+struct SimConfig {
   int num_processors = 8;
   int num_disks = 8;
   /// Total LRU buffer capacity in R*-tree pages, divided evenly over the
@@ -80,32 +78,14 @@ struct ParallelJoinConfig {
   /// m >> n).
   double task_creation_factor = 3.0;
 
-  // Filter-step tuning techniques (ablations).
-  bool use_search_space_restriction = true;
-  bool use_plane_sweep = true;
   bool use_path_buffer = true;
 
-  /// Second filter step ([BKSS 94]/[BKS 94], §2.1): screen candidates with
-  /// per-object section MBRs before paying the exact-geometry waiting
-  /// period. Requires the object stores.
-  bool use_second_filter = false;
-  int second_filter_sections = 4;
-
-  /// Run the ground-truth polyline refinement test (requires object
+  /// Run the ground-truth polyline refinement test (requires the object
   /// stores); the virtual waiting period is charged either way.
   bool compute_answers = true;
-  /// Collect the candidate (and answer) id pairs in the result.
-  bool collect_pairs = false;
 
   /// Seed for the arbitrary victim policy.
   uint64_t seed = 7;
-
-  /// Event sink recording the run's virtual-time timeline (spans, counters,
-  /// histograms; see trace/trace_sink.h). Null — the default — disables
-  /// tracing entirely: every instrumentation site reduces to one pointer
-  /// test. The sink must outlive the run; like the statistics, recording is
-  /// bit-reproducible.
-  trace::TraceSink* trace = nullptr;
 
   /// Tie-break policy for equal-resume-time dispatches. Unset — the
   /// default — reads PSJ_SIM_TIEBREAK from the environment (spawn order
@@ -122,13 +102,41 @@ struct ParallelJoinConfig {
   /// run.
   check::AccessRegistry* check = nullptr;
 
+  /// Validates ranges: processors, disks, task creation and costs.
+  Status Validate() const;
+};
+
+/// \brief Full configuration of one parallel spatial join run.
+///
+/// The paper's three named variants map to:
+///  - lsr  = kLocal  + kStaticRange
+///  - gsrr = kGlobal + kStaticRoundRobin
+///  - gd   = kGlobal + kDynamic
+struct ParallelJoinConfig : SimConfig {
+  // Filter-step tuning techniques (ablations).
+  bool use_search_space_restriction = true;
+  bool use_plane_sweep = true;
+
+  /// Second filter step ([BKSS 94]/[BKS 94], §2.1): screen candidates with
+  /// per-object section MBRs before paying the exact-geometry waiting
+  /// period. Requires the object stores and at least one section.
+  bool use_second_filter = false;
+  int second_filter_sections = 4;
+
+  /// Collect the candidate (and answer) id pairs in the result.
+  bool collect_pairs = false;
+
+  /// Event sink recording the run's virtual-time timeline (spans, counters,
+  /// histograms; see trace/trace_sink.h). Null — the default — disables
+  /// tracing entirely: every instrumentation site reduces to one pointer
+  /// test. The sink must outlive the run; like the statistics, recording is
+  /// bit-reproducible.
+  trace::TraceSink* trace = nullptr;
+
   /// Convenience constructors for the paper's variants.
   static ParallelJoinConfig Lsr();
   static ParallelJoinConfig Gsrr();
   static ParallelJoinConfig Gd();
-
-  /// Validates ranges and combination constraints.
-  Status Validate() const;
 
   /// Short identifier like "gd/all/most-loaded n=8 d=8 buf=800".
   std::string Describe() const;

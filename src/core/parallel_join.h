@@ -14,13 +14,13 @@ namespace psj {
 /// and parallel task execution over two R*-trees on the simulated
 /// shared-virtual-memory multiprocessor.
 ///
-/// Each Run() simulates one join from cold buffers: it builds a fresh disk
-/// array, buffer pool and scheduler, spawns one simulated processor per
-/// configured CPU, lets processor 0 create and assign the tasks (pairs of
-/// intersecting subtrees ordered by the local plane-sweep order), executes
-/// them in parallel with the configured buffer organization / assignment /
-/// reassignment strategy, and reports virtual-time statistics (response
-/// time, disk accesses, per-processor finish times, ...).
+/// Each Run() simulates one join from cold buffers on a fresh SimMachine
+/// (core/sim_machine.h): one simulated processor per configured CPU;
+/// processor 0 creates and assigns the tasks (pairs of intersecting
+/// subtrees ordered by the local plane-sweep order), all execute them in
+/// parallel with the configured buffer organization / assignment /
+/// reassignment strategy, and the run reports virtual-time statistics
+/// (response time, disk accesses, per-processor finish times, ...).
 ///
 /// The simulated processors schedule work and charge its virtual time; the
 /// geometry comes from a JoinPlan. Which node pairs match, which

@@ -2,32 +2,18 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <span>
+#include <vector>
 
-#include "buffer/path_buffer.h"
-#include "geo/node_scan.h"
-#include "core/task_pool.h"
+#include "core/sim_machine.h"
 #include "core/workload.h"
+#include "geo/node_scan.h"
 
 namespace psj {
 
-Status WindowQueryConfig::Validate() const {
-  if (num_processors <= 0) {
-    return Status::InvalidArgument("num_processors must be positive");
-  }
-  if (num_disks <= 0) {
-    return Status::InvalidArgument("num_disks must be positive");
-  }
-  if (task_creation_factor < 0.0) {
-    return Status::InvalidArgument("task_creation_factor must be >= 0");
-  }
-  return Status::OK();
-}
-
 namespace {
 
-/// One simulated window-query run; mirrors the join driver with single
+/// One simulated window-query run on the simulated machine, with single
 /// subtrees as work items.
 class WindowQueryDriver {
  public:
@@ -38,67 +24,20 @@ class WindowQueryDriver {
         objects_(objects),
         window_(window),
         config_(config),
-        scheduler_(config.tiebreak),
-        disks_(config.num_disks, config.costs.disk),
-        pool_(config.num_processors, tree.height(), config.costs,
-              config.seed) {
-    if (config_.placement == PagePlacement::kHilbertStriping) {
-      disks_.SetExplicitPlacement(
-          ComputeHilbertStriping(tree, tree.root_mbr(), config_.num_disks));
-    }
-    const int n = config_.num_processors;
-    switch (config_.buffer_type) {
-      case BufferType::kLocal:
-        buffers_ = std::make_unique<LocalBufferPool>(
-            n, config_.total_buffer_pages, &disks_, config_.costs.buffer);
-        break;
-      case BufferType::kGlobal:
-        buffers_ = std::make_unique<GlobalBufferPool>(
-            n, config_.total_buffer_pages, &disks_, config_.costs.buffer);
-        break;
-      case BufferType::kSharedNothing:
-        buffers_ = std::make_unique<SharedNothingBufferPool>(
-            n, config_.total_buffer_pages, &disks_, config_.costs.buffer);
-        break;
-    }
-    path_buffers_.assign(static_cast<size_t>(n),
-                         PathBuffer(tree.height()));
-    stats_.assign(static_cast<size_t>(n), ProcessorStats());
-    candidate_ids_.resize(static_cast<size_t>(n));
-    answer_ids_.resize(static_cast<size_t>(n));
-    filter_hits_.resize(static_cast<size_t>(n));
-    if (config_.check != nullptr) {
-      disks_.BindCheck(config_.check);
-      buffers_->set_check(config_.check);
-      pool_.set_check(config_.check);
-      tasks_ready_.Bind(config_.check);
-    }
+        machine_("window_query", {&tree}, config, /*trace=*/nullptr) {
+    const auto n = static_cast<size_t>(config_.num_processors);
+    candidate_ids_.resize(n);
+    answer_ids_.resize(n);
+    filter_hits_.resize(n);
   }
 
   WindowQueryResult Run() {
-    for (int i = 0; i < config_.num_processors; ++i) {
-      scheduler_.Spawn([this](sim::Process& p) { ProcessorBody(p); });
-    }
-    scheduler_.Run();
-
     WindowQueryResult result;
-    for (int i = 0; i < config_.num_processors; ++i) {
-      ProcessorStats& stats = stats_[static_cast<size_t>(i)];
-      stats.buffer = buffers_->stats(i);
-      const TaskPoolCounters& counters = pool_.counters(i);
-      stats.tasks_started = counters.tasks_started;
-      stats.steal_requests_sent = counters.steal_requests_sent;
-      stats.steal_requests_failed = counters.steal_requests_failed;
-      stats.pairs_stolen = counters.items_stolen;
-      stats.pairs_given = counters.items_given;
-      stats.disk_queue_wait = disks_.queue_wait_of_cpu(i);
-    }
-    result.stats.per_processor = stats_;
-    result.stats.num_tasks = num_tasks_;
-    result.stats.task_level = task_level_;
-    result.stats.task_creation_time = task_creation_time_;
-    result.stats.Finalize(disks_.total_accesses(),
-                          disks_.total_queue_wait());
+    result.stats = machine_.Run(
+        [this](sim::Process& p) { CreateTasks(p); },
+        [this](sim::Process& p, const PageTask& task) {
+          ExecuteTask(p, task);
+        });
     if (config_.collect_ids) {
       for (auto& ids : candidate_ids_) {
         result.candidate_ids.insert(result.candidate_ids.end(), ids.begin(),
@@ -113,22 +52,10 @@ class WindowQueryDriver {
   }
 
  private:
-  void ProcessorBody(sim::Process& p) {
-    if (p.id() == 0) {
-      CreateAndAssignTasks(p);
-    } else {
-      // As in the join driver: sleep until processor 0 posts the flag,
-      // which wakes the workers at distinct virtual times.
-      while (!tasks_ready_.Read(p, "WindowQueryDriver::ProcessorBody/wait")) {
-        p.Block();
-      }
-    }
-    WorkLoop(p);
-  }
-
-  /// Phase 1 + 2 on processor 0: subtrees intersecting the window, in
+  /// Phase 1 on processor 0: subtrees intersecting the window, in
   /// plane-sweep (xl) order, descending while there are too few tasks.
-  void CreateAndAssignTasks(sim::Process& p) {
+  void CreateTasks(sim::Process& p) {
+    const sim::SimTime creation_start = p.now();
     std::deque<PageTask> frontier;
     frontier.push_back(PageTask{tree_.root_page(),
                                 static_cast<int16_t>(tree_.height() - 1)});
@@ -141,7 +68,7 @@ class WindowQueryDriver {
            frontier.size() < std::max<size_t>(needed, 2)) {
       std::deque<PageTask> next;
       for (const PageTask& task : frontier) {
-        const NodeSoAView node = FetchNode(p, task.page, task.level);
+        const NodeSoAView node = FetchNode(p, task);
         for (const uint32_t k : ChildOrderByXl(node)) {
           p.Advance(config_.costs.cpu_per_pair_tested);
           if (node.rects.rect(k).Intersects(window_)) {
@@ -152,46 +79,9 @@ class WindowQueryDriver {
       }
       frontier = std::move(next);
     }
-
-    std::vector<PageTask> tasks(frontier.begin(), frontier.end());
-    p.Advance(static_cast<sim::SimTime>(tasks.size()) *
-              config_.costs.task_creation_per_pair);
-    num_tasks_ = static_cast<int64_t>(tasks.size());
-    task_level_ = tasks.empty() ? 0 : tasks.front().level;
-    pool_.Assign(config_.assignment, tasks, task_level_);
-    task_creation_time_ = p.now();
-    p.Sync();
-    tasks_ready_.Write(p, "WindowQueryDriver::CreateAndAssignTasks/publish",
-                       true);
-    for (int i = 1; i < config_.num_processors; ++i) {
-      p.Advance(config_.costs.task_ready_notify);
-      scheduler_.process(i)->MakeReadyIfBlocked(p.now());
-    }
-    p.Advance(config_.costs.task_ready_notify);
-  }
-
-  void WorkLoop(sim::Process& p) {
-    const size_t cpu = static_cast<size_t>(p.id());
-    for (;;) {
-      std::optional<PageTask> item = pool_.NextItem(p);
-      if (item.has_value()) {
-        const sim::SimTime start = p.now();
-        ExecuteTask(p, *item);
-        pool_.FinishItem(p.id());
-        stats_[cpu].busy_time += p.now() - start;
-        stats_[cpu].last_work_time = p.now();
-        continue;
-      }
-      p.Sync();
-      if (pool_.GlobalDone()) {
-        return;
-      }
-      if (config_.reassignment == ReassignmentLevel::kNone) {
-        p.WaitUntil(p.now() + config_.costs.idle_poll_interval);
-        continue;
-      }
-      pool_.TryStealWork(p, config_.reassignment, config_.victim_policy);
-    }
+    const std::vector<PageTask> tasks(frontier.begin(), frontier.end());
+    machine_.Assign(p, creation_start, tasks,
+                    tasks.empty() ? 0 : tasks.front().level);
   }
 
   // Window filter over a node's planes: hit indices, ascending — the same
@@ -205,10 +95,11 @@ class WindowQueryDriver {
 
   void ExecuteTask(sim::Process& p, const PageTask& task) {
     const size_t cpu = static_cast<size_t>(p.id());
-    const NodeSoAView node = FetchNode(p, task.page, task.level);
+    ProcessorStats& stats = machine_.stats(p);
+    const NodeSoAView node = FetchNode(p, task);
     p.Advance(static_cast<sim::SimTime>(node.size()) *
               config_.costs.cpu_per_pair_tested);
-    ++stats_[cpu].node_pairs_processed;
+    ++stats.node_pairs_processed;
 
     if (task.level > 0) {
       std::vector<PageTask> children;
@@ -216,7 +107,7 @@ class WindowQueryDriver {
         children.push_back(PageTask{node.child_page(k),
                                     static_cast<int16_t>(task.level - 1)});
       }
-      pool_.Push(p, children);
+      machine_.Push(p, children);
       return;
     }
 
@@ -228,13 +119,13 @@ class WindowQueryDriver {
       const sim::SimTime refine_cost =
           config_.costs.RefinementCost(node.rects.rect(k), window_);
       p.Advance(refine_cost);
-      stats_[cpu].refinement_time += refine_cost;
-      ++stats_[cpu].candidates;
+      stats.refinement_time += refine_cost;
+      ++stats.candidates;
       bool is_answer = false;
       if (config_.compute_answers) {
         is_answer = objects_->Get(id).geometry.IntersectsRect(window_);
         if (is_answer) {
-          ++stats_[cpu].answers;
+          ++stats.answers;
         }
       }
       if (config_.collect_ids) {
@@ -247,20 +138,9 @@ class WindowQueryDriver {
     }
   }
 
-  NodeSoAView FetchNode(sim::Process& p, uint32_t page, int level) {
-    const size_t cpu = static_cast<size_t>(p.id());
-    const PageId pid{tree_.tree_id(), page};
-    if (config_.use_path_buffer &&
-        path_buffers_[cpu].Contains(pid, level)) {
-      p.Advance(config_.costs.path_buffer_hit);
-      ++stats_[cpu].path_buffer_hits;
-    } else {
-      buffers_->FetchPage(p, pid, /*is_data_page=*/level == 0);
-      if (config_.use_path_buffer) {
-        path_buffers_[cpu].Enter(pid, level);
-      }
-    }
-    return cache_.view(page);
+  NodeSoAView FetchNode(sim::Process& p, const PageTask& task) {
+    machine_.ChargeFetch(p, PageId{tree_.tree_id(), task.page}, task.level);
+    return cache_.view(task.page);
   }
 
   const RStarTree& tree_;
@@ -269,21 +149,11 @@ class WindowQueryDriver {
   const Rect window_;
   const WindowQueryConfig& config_;
 
-  sim::Scheduler scheduler_;
-  DiskArrayModel disks_;
-  std::unique_ptr<BufferPool> buffers_;
-
-  check::Cell<bool> tasks_ready_{"window_query.tasks_ready"};
-  TaskPool<PageTask> pool_;
-  std::vector<PathBuffer> path_buffers_;
+  SimMachine<PageTask> machine_;
   std::vector<std::vector<uint32_t>> filter_hits_;
 
-  std::vector<ProcessorStats> stats_;
   std::vector<std::vector<uint64_t>> candidate_ids_;
   std::vector<std::vector<uint64_t>> answer_ids_;
-  int64_t num_tasks_ = 0;
-  int task_level_ = 0;
-  sim::SimTime task_creation_time_ = 0;
 };
 
 }  // namespace

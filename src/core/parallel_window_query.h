@@ -1,7 +1,6 @@
 #ifndef PSJ_CORE_PARALLEL_WINDOW_QUERY_H_
 #define PSJ_CORE_PARALLEL_WINDOW_QUERY_H_
 
-#include <optional>
 #include <vector>
 
 #include "core/join_config.h"
@@ -17,41 +16,9 @@ namespace psj {
 /// parallelization as future work — this implements it on the same
 /// framework: subtrees intersecting the window become tasks in plane-sweep
 /// order, assigned and reassigned exactly like join tasks.
-struct WindowQueryConfig {
-  int num_processors = 8;
-  int num_disks = 8;
-  size_t total_buffer_pages = 800;
-
-  BufferType buffer_type = BufferType::kGlobal;
-  TaskAssignment assignment = TaskAssignment::kDynamic;
-  ReassignmentLevel reassignment = ReassignmentLevel::kAllLevels;
-  VictimPolicy victim_policy = VictimPolicy::kMostLoaded;
-  PagePlacement placement = PagePlacement::kModulo;
-
-  CostModel costs;
-
-  /// Task creation descends while the task count is below this factor
-  /// times the processor count.
-  double task_creation_factor = 3.0;
-
-  bool use_path_buffer = true;
-  /// Run the exact polyline-vs-window refinement test (requires the object
-  /// store); the virtual waiting period is charged either way.
-  bool compute_answers = true;
+struct WindowQueryConfig : SimConfig {
   /// Collect the candidate/answer object ids in the result.
   bool collect_ids = false;
-
-  uint64_t seed = 7;
-
-  /// Tie-break policy for equal-resume-time dispatches (see
-  /// ParallelJoinConfig::tiebreak). Unset reads PSJ_SIM_TIEBREAK.
-  std::optional<sim::TieBreak> tiebreak;
-
-  /// Virtual-time race detector; null disables checking (see
-  /// ParallelJoinConfig::check).
-  check::AccessRegistry* check = nullptr;
-
-  Status Validate() const;
 };
 
 /// Result of a parallel window query. `stats` reuses the join statistics

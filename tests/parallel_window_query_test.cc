@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "core/parallel_window_query.h"
 #include "data/generator.h"
 #include "data/map_builder.h"
+#include "util/json_writer.h"
+#include "util/string_util.h"
 
 namespace psj {
 namespace {
@@ -170,6 +174,78 @@ TEST_F(ParallelWindowQueryTest, InvalidInputsRejected) {
       no_store.Run(kWindow, wants_answers).status().IsInvalidArgument());
   wants_answers.compute_answers = false;
   EXPECT_TRUE(no_store.Run(kWindow, wants_answers).ok());
+
+  // The cost model is checked as the join checks it: an inverted
+  // refinement range is rejected, not charged as negative virtual time.
+  WindowQueryConfig inverted_costs;
+  inverted_costs.costs.refine_min = 5'000;
+  inverted_costs.costs.refine_max = -5'000;
+  EXPECT_TRUE(query.Run(kWindow, inverted_costs).status().IsInvalidArgument());
+}
+
+// The window query's virtual time over a grid of machine configurations:
+// every statistic (JoinStats::WriteJson covers each ProcessorStats field
+// and every aggregate) and every collected id carry one pinned
+// fingerprint, so a change to the simulated machine that moves any of
+// them fails here.
+TEST_F(ParallelWindowQueryTest, VirtualTimeIsPinned) {
+  uint64_t hash = 0xcbf29ce484222325ULL;  // 64-bit FNV-1a.
+  const auto mix = [&hash](const std::string& text) {
+    for (const char c : text) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  int runs = 0;
+  int64_t candidates = 0;
+  int64_t answers = 0;
+  int64_t steals = 0;
+  for (const BufferType buffer :
+       {BufferType::kLocal, BufferType::kGlobal, BufferType::kSharedNothing}) {
+    for (const TaskAssignment assignment :
+         {TaskAssignment::kStaticRange, TaskAssignment::kStaticRoundRobin,
+          TaskAssignment::kDynamic}) {
+      for (const ReassignmentLevel reassignment :
+           {ReassignmentLevel::kNone, ReassignmentLevel::kRootLevel,
+            ReassignmentLevel::kAllLevels}) {
+        for (const PagePlacement placement :
+             {PagePlacement::kModulo, PagePlacement::kHilbertStriping}) {
+          for (const int n : {1, 5}) {
+            WindowQueryConfig config;
+            config.buffer_type = buffer;
+            config.assignment = assignment;
+            config.reassignment = reassignment;
+            config.placement = placement;
+            config.num_processors = n;
+            config.num_disks = n;
+            config.total_buffer_pages = 40 * static_cast<size_t>(n);
+            config.collect_ids = true;
+            const WindowQueryResult result = MustRun(kWindow, config);
+            JsonWriter out;
+            result.stats.WriteJson(out);
+            mix(out.str());
+            for (const auto* ids : {&result.candidate_ids, &result.answer_ids}) {
+              for (const uint64_t id : *ids) {
+                mix(StringPrintf("%llu;", static_cast<unsigned long long>(id)));
+              }
+              mix("|");
+            }
+            ++runs;
+            candidates += result.stats.total_candidates;
+            answers += result.stats.total_answers;
+            for (const ProcessorStats& stats : result.stats.per_processor) {
+              steals += stats.pairs_stolen;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 108);
+  EXPECT_EQ(candidates, 78'192);
+  EXPECT_EQ(answers, 78'192);
+  EXPECT_EQ(steals, 88);
+  EXPECT_EQ(hash, 0x91de7490f2d901e1ULL);
 }
 
 TEST_F(ParallelWindowQueryTest, UnsealedTreeIsAFailedPrecondition) {

@@ -19,11 +19,15 @@
 //   psj_cli window   --prefix=/tmp/ca --rect=0.2,0.2,0.6,0.6
 //   psj_cli knn      --prefix=/tmp/ca --point=0.5,0.5 --k=10
 //   psj_cli report   --check --scale=0.05
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -59,6 +63,88 @@
 namespace psj {
 namespace {
 
+// Parses all of `text` as a base-10 int.
+bool ParseInt(const char* text, int* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < INT_MIN ||
+      value > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// Parses all of `text` as a finite double.
+bool ParseDouble(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+enum class FlagKind { kString, kInt, kDouble, kBool };
+
+// One flag a subcommand reads, and how its value must parse.
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+};
+
+// Checks every argument after the subcommand: each must be one of the
+// subcommand's `specs` written "--name=value" (a bool may be bare), and a
+// number must parse whole. Prints the first bad argument and returns false,
+// so a misspelt flag is an error, not a silent default.
+bool CheckFlags(int argc, char** argv, std::initializer_list<FlagSpec> specs) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "error: unexpected argument '%s' for '%s'\n",
+                   arg.c_str(), argv[1]);
+      return false;
+    }
+    const size_t eq = arg.find('=');
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? std::string::npos : eq - 2);
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& candidate : specs) {
+      if (name == candidate.name) {
+        spec = &candidate;
+        break;
+      }
+    }
+    if (spec == nullptr) {
+      std::fprintf(stderr, "error: unknown flag '--%s' for '%s'\n",
+                   name.c_str(), argv[1]);
+      return false;
+    }
+    if (eq == std::string::npos) {
+      if (spec->kind != FlagKind::kBool) {
+        std::fprintf(stderr, "error: flag --%s needs a value (--%s=...)\n",
+                     name.c_str(), name.c_str());
+        return false;
+      }
+      continue;
+    }
+    const char* value = argv[i] + eq + 1;
+    int int_value = 0;
+    double double_value = 0.0;
+    const bool is_double = spec->kind == FlagKind::kDouble;
+    if (spec->kind != FlagKind::kString &&
+        !(is_double ? ParseDouble(value, &double_value)
+                    : ParseInt(value, &int_value))) {
+      std::fprintf(stderr, "error: flag --%s expects %s, got '%s'\n",
+                   name.c_str(), is_double ? "a number" : "an integer", value);
+      return false;
+    }
+  }
+  return true;
+}
+
 const char* FlagValue(int argc, char** argv, const char* key) {
   const std::string prefix = std::string("--") + key + "=";
   for (int i = 2; i < argc; ++i) {
@@ -69,9 +155,24 @@ const char* FlagValue(int argc, char** argv, const char* key) {
   return nullptr;
 }
 
+// The typed readers below run after CheckFlags(), so a present value
+// parses.
 int IntFlag(int argc, char** argv, const char* key, int fallback) {
   const char* value = FlagValue(argc, argv, key);
-  return value != nullptr ? std::atoi(value) : fallback;
+  int result = fallback;
+  if (value != nullptr) {
+    ParseInt(value, &result);
+  }
+  return result;
+}
+
+double DoubleFlag(int argc, char** argv, const char* key, double fallback) {
+  const char* value = FlagValue(argc, argv, key);
+  double result = fallback;
+  if (value != nullptr) {
+    ParseDouble(value, &result);
+  }
+  return result;
 }
 
 std::string StringFlag(int argc, char** argv, const char* key,
@@ -88,8 +189,7 @@ bool BoolFlag(int argc, char** argv, const char* key) {
       return true;
     }
   }
-  const char* value = FlagValue(argc, argv, key);
-  return value != nullptr && std::atoi(value) != 0;
+  return IntFlag(argc, argv, key, 0) != 0;
 }
 
 // Parses "a,b,c,d" into doubles; returns false on malformed input.
@@ -99,9 +199,7 @@ bool ParseDoubles(const std::string& text, size_t count, double* out) {
     return false;
   }
   for (size_t i = 0; i < count; ++i) {
-    char* end = nullptr;
-    out[i] = std::strtod(fields[i].c_str(), &end);
-    if (end == fields[i].c_str()) {
+    if (!ParseDouble(fields[i].c_str(), &out[i])) {
       return false;
     }
   }
@@ -154,6 +252,12 @@ std::optional<Dataset> LoadDataset(const std::string& prefix) {
 }
 
 int CmdGenerate(int argc, char** argv) {
+  if (!CheckFlags(argc, argv,
+                  {{"prefix", FlagKind::kString},
+                   {"objects", FlagKind::kInt},
+                   {"seed", FlagKind::kInt}})) {
+    return 2;
+  }
   const std::string prefix = StringFlag(argc, argv, "prefix", "");
   if (prefix.empty()) {
     std::fprintf(stderr, "error: --prefix=PATH is required\n");
@@ -206,6 +310,9 @@ void PrintTreeStats(const char* name, const RStarTree& tree) {
 }
 
 int CmdInspect(int argc, char** argv) {
+  if (!CheckFlags(argc, argv, {{"prefix", FlagKind::kString}})) {
+    return 2;
+  }
   auto dataset = LoadDataset(StringFlag(argc, argv, "prefix", ""));
   if (!dataset.has_value()) {
     return 1;
@@ -262,8 +369,8 @@ int RunJoinSweep(const ParallelSpatialJoin& join,
                  int jobs, bool as_json) {
   std::vector<ParallelJoinConfig> configs;
   for (const std::string& field : SplitString(sweep, ',')) {
-    const int n = std::atoi(field.c_str());
-    if (n <= 0) {
+    int n = 0;
+    if (!ParseInt(field.c_str(), &n) || n <= 0) {
       std::fprintf(stderr, "error: bad --sweep entry '%s'\n", field.c_str());
       return 2;
     }
@@ -367,6 +474,28 @@ int RunNativeJoin(const Dataset& dataset, const std::string& engine,
 }
 
 int CmdJoin(int argc, char** argv) {
+  if (!CheckFlags(argc, argv,
+                  {{"prefix", FlagKind::kString},
+                   {"engine", FlagKind::kString},
+                   {"variant", FlagKind::kString},
+                   {"reassign", FlagKind::kString},
+                   {"placement", FlagKind::kString},
+                   {"second-filter", FlagKind::kInt},
+                   {"processors", FlagKind::kInt},
+                   {"disks", FlagKind::kInt},
+                   {"buffer", FlagKind::kInt},
+                   {"sweep", FlagKind::kString},
+                   {"jobs", FlagKind::kInt},
+                   {"json", FlagKind::kBool},
+                   {"trace", FlagKind::kString},
+                   {"timeline", FlagKind::kBool},
+                   {"check", FlagKind::kBool},
+                   {"threads", FlagKind::kInt},
+                   {"verify", FlagKind::kBool},
+                   {"deterministic", FlagKind::kBool},
+                   {"grid", FlagKind::kInt}})) {
+    return 2;
+  }
   auto dataset = LoadDataset(StringFlag(argc, argv, "prefix", ""));
   if (!dataset.has_value()) {
     return 1;
@@ -462,11 +591,6 @@ int CmdJoin(int argc, char** argv) {
   return 0;
 }
 
-double DoubleFlag(int argc, char** argv, const char* key, double fallback) {
-  const char* value = FlagValue(argc, argv, key);
-  return value != nullptr ? std::atof(value) : fallback;
-}
-
 std::optional<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -512,6 +636,18 @@ std::vector<std::pair<std::string, ParallelJoinConfig>> ProfileConfigs() {
 // baselines and emitting the combined Markdown report plus trace
 // artifacts. Exit code 1 = golden drift (or I/O failure), 2 = bad flags.
 int CmdReport(int argc, char** argv) {
+  if (!CheckFlags(argc, argv,
+                  {{"scale", FlagKind::kDouble},
+                   {"figures", FlagKind::kString},
+                   {"out-dir", FlagKind::kString},
+                   {"golden-dir", FlagKind::kString},
+                   {"check", FlagKind::kBool},
+                   {"update-goldens", FlagKind::kBool},
+                   {"serve", FlagKind::kBool},
+                   {"jobs", FlagKind::kInt},
+                   {"serve-duration-ms", FlagKind::kInt}})) {
+    return 2;
+  }
   const double scale = DoubleFlag(argc, argv, "scale", 0.05);
   const std::string figures_flag = StringFlag(argc, argv, "figures", "");
   const std::string out_dir = StringFlag(argc, argv, "out-dir", "");
@@ -692,6 +828,14 @@ int CmdReport(int argc, char** argv) {
 }
 
 int CmdWindow(int argc, char** argv) {
+  if (!CheckFlags(argc, argv,
+                  {{"prefix", FlagKind::kString},
+                   {"rect", FlagKind::kString},
+                   {"processors", FlagKind::kInt},
+                   {"disks", FlagKind::kInt},
+                   {"buffer", FlagKind::kInt}})) {
+    return 2;
+  }
   auto dataset = LoadDataset(StringFlag(argc, argv, "prefix", ""));
   if (!dataset.has_value()) {
     return 1;
@@ -718,6 +862,12 @@ int CmdWindow(int argc, char** argv) {
 }
 
 int CmdKnn(int argc, char** argv) {
+  if (!CheckFlags(argc, argv,
+                  {{"prefix", FlagKind::kString},
+                   {"point", FlagKind::kString},
+                   {"k", FlagKind::kInt}})) {
+    return 2;
+  }
   auto dataset = LoadDataset(StringFlag(argc, argv, "prefix", ""));
   if (!dataset.has_value()) {
     return 1;
@@ -757,6 +907,22 @@ int CmdKnn(int argc, char** argv) {
 // `--trace=F` exports sampled per-request wall-clock spans (every
 // `--trace-sample-every`th accepted query) as Chrome trace JSON.
 int CmdServe(int argc, char** argv) {
+  if (!CheckFlags(argc, argv,
+                  {{"prefix", FlagKind::kString},
+                   {"qps", FlagKind::kDouble},
+                   {"threads", FlagKind::kInt},
+                   {"batch-window", FlagKind::kInt},
+                   {"duration-ms", FlagKind::kInt},
+                   {"single", FlagKind::kBool},
+                   {"deadline-us", FlagKind::kInt},
+                   {"verify-every", FlagKind::kInt},
+                   {"stats-every-ms", FlagKind::kInt},
+                   {"metrics-out", FlagKind::kString},
+                   {"metrics-json-out", FlagKind::kString},
+                   {"trace", FlagKind::kString},
+                   {"trace-sample-every", FlagKind::kInt}})) {
+    return 2;
+  }
   auto dataset = LoadDataset(StringFlag(argc, argv, "prefix", ""));
   if (!dataset.has_value()) {
     return 1;
@@ -975,6 +1141,7 @@ int Usage() {
       "           [--engine=sim|native|partition] [--threads=N] [--verify]\n"
       "           [--deterministic] [--grid=K]\n"
       "  window   --prefix=P --rect=xl,yl,xu,yu [--processors=N]\n"
+      "           [--disks=N] [--buffer=N]\n"
       "  knn      --prefix=P --point=x,y [--k=N]\n"
       "  serve    --prefix=P [--qps=F] [--threads=N] [--batch-window=US]\n"
       "           [--duration-ms=N] [--single] [--deadline-us=N]\n"

@@ -67,6 +67,13 @@ leak into simulated results.
                        matching, the second filter and the exact polyline
                        test run once per plan (src/core/join_plan.cc), not
                        once per simulated configuration.
+  one-machine          One simulated machine: in src/core/, only
+                       sim_machine.h names the platform's parts
+                       (sim::Scheduler, DiskArrayModel, the three buffer
+                       pools, PathBuffer, TaskPool<...>), so the join and
+                       the window query run on one SimMachine and keep only
+                       their work items, task creation and execution;
+                       task_pool.h, which defines TaskPool, is exempt.
   flat-objects         src/ keeps each map's geometry flat: no
                        std::vector<MapObject>, std::vector<Polyline>,
                        std::vector<std::vector<Point>> or
@@ -206,6 +213,14 @@ SIM_READS_PLAN_FILES = ("src/core/parallel_join.cc",)
 SIM_READS_PLAN_TOKEN = re.compile(
     r"\b(?:MatchNodeEntriesSoA|MatchNodePages|SecondFilter)\b"
     r"|(?:\.|->)geometry\b"
+)
+
+# one-machine: the simulated platform is built in one place.
+ONE_MACHINE_DIR = "src/core/"
+ONE_MACHINE_EXEMPT = ("src/core/sim_machine.h", "src/core/task_pool.h")
+ONE_MACHINE_TOKEN = re.compile(
+    r"\b(?:sim::Scheduler|DiskArrayModel|LocalBufferPool|GlobalBufferPool"
+    r"|SharedNothingBufferPool|PathBuffer)\b|\bTaskPool<"
 )
 
 # flat-objects: per-object heap blocks of geometry in src/.
@@ -352,6 +367,9 @@ def lint_file(path, rel, errors):
         if rel in SIM_READS_PLAN_FILES:
             for match in SIM_READS_PLAN_TOKEN.finditer(code):
                 report("sim-reads-plan", match.group(0))
+        if rel.startswith(ONE_MACHINE_DIR) and rel not in ONE_MACHINE_EXEMPT:
+            for match in ONE_MACHINE_TOKEN.finditer(code):
+                report("one-machine", match.group(0))
         if rel.startswith(FLAT_OBJECTS_DIRS):
             for match in FLAT_OBJECTS_TOKEN.finditer(code):
                 report("flat-objects", match.group(0))
@@ -566,6 +584,41 @@ def self_test():
         (
             "src/core/join_plan.cc",
             "const auto matches = MatchNodeEntriesSoA(nr, ns, options);\n",
+            None,
+        ),
+        # one-machine: an operator in src/core/ building its own platform is
+        # a violation…
+        (
+            "src/core/parallel_window_query.cc",
+            "class WindowQuery {\n  sim::Scheduler scheduler_;\n};\n",
+            "one-machine",
+        ),
+        ("src/core/x.cc", "TaskPool<PageTask> pool_;\n", "one-machine"),
+        # …while the machine itself, the pool's own header, operators that
+        # name only SimMachine and the trace category, and tests are clean.
+        (
+            "src/core/sim_machine.h",
+            "sim::Scheduler scheduler_;\nDiskArrayModel disks_;\n"
+            "std::vector<PathBuffer> path_buffers_;\nTaskPool<Item> pool_;\n",
+            None,
+        ),
+        ("src/core/task_pool.h", "class TaskPool<Item>;\n", None),
+        (
+            "src/core/parallel_join.cc",
+            "// Not a PathBuffer of its own: the machine has them.\n"
+            "SimMachine<PlanItem> machine_;\n"
+            "Instant(id, trace::Category::kPathBufferHit, name);\n",
+            None,
+        ),
+        (
+            "tests/task_pool_test.cc",
+            "TaskPool<NodePair> pool(2, 3, costs, 7);\nsim::Scheduler s;\n",
+            None,
+        ),
+        # The rule is src/core/'s: the modules defining the parts are clean.
+        (
+            "src/buffer/buffer_pool.h",
+            "class LocalBufferPool : public BufferPool {};\n",
             None,
         ),
         # flat-objects: one heap block per object's geometry in src/ is a
